@@ -9,6 +9,7 @@ format), and a deterministic benchmark harness.
 
 from .aggregation import (
     DistortionFunction,
+    NonIncreasingWeightsError,
     ProbabilityVector,
     RankWeights,
     WeightVector,
@@ -26,7 +27,6 @@ from .base_solvers import (
     NO_FIXING,
     PartialFixing,
     solve_assignment,
-    solve_explicit,
     solve_selection,
     solve_with_costs,
 )
@@ -50,7 +50,7 @@ from .experiments import (
     summaries_to_csv,
     summarize,
 )
-from .mip import MipModel, NonIncreasingWeightsError, build_mip, export_lp, greedy_dual_point, objective_at
+from .mip import MipModel, build_mip, export_lp, greedy_dual_point, objective_at
 from .model import (
     Assignment,
     Explicit,

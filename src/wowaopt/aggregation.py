@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "SUM_TOL",
+    "NonIncreasingWeightsError",
     "WeightVector",
     "ProbabilityVector",
     "DistortionFunction",
@@ -34,6 +35,10 @@ __all__ = [
 # tolerance; they are then renormalized by their exact float sum so that
 # cumulative sums are drift free.
 SUM_TOL = 1e-9
+
+
+class NonIncreasingWeightsError(ValueError):
+    """A method that needs v1 >= v2 >= ... >= vK was given other weights."""
 
 
 def _vector(values, name: str) -> np.ndarray:

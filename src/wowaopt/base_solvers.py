@@ -2,30 +2,55 @@
 
 These are the single-cost-vector solvers the aggregation-based
 approximation and the branch-and-bound both build on: pick the q cheapest
-elements (selection), minimum-cost perfect matching (assignment, Hungarian
-method), or scan an explicit feasible list.  All of them accept a partial
-fixing so branch-and-bound can reuse them unchanged at every node.
+elements (selection) or minimum-cost perfect matching (assignment,
+Hungarian method).  Both accept a partial fixing so branch-and-bound can
+reuse them unchanged at every node.  ``ProblemKind`` is the base class of
+the feasible sets; the kinds themselves are in ``wowaopt.model``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Assignment, Explicit, FeasibilityError, ProblemKind, Selection, Solution
-
 __all__ = [
+    "FeasibilityError",
+    "Solution",
     "PartialFixing",
     "NO_FIXING",
+    "ProblemKind",
     "solve_selection",
     "solve_assignment",
-    "solve_explicit",
     "solve_with_costs",
     "BaseSolver",
     "EXACT_BASE",
 ]
+
+
+class FeasibilityError(ValueError):
+    """A solution (or partial fixing) violates the feasible-set structure."""
+
+
+@dataclass(frozen=True, init=False)
+class Solution:
+    """A feasible solution: the sorted set of chosen element indices."""
+
+    chosen: tuple[int, ...]
+
+    def __init__(self, chosen: Sequence[int]):
+        idx = tuple(sorted(int(i) for i in chosen))
+        if len(set(idx)) != len(idx):
+            raise ValueError("duplicate element indices in solution")
+        object.__setattr__(self, "chosen", idx)
+
+    def __len__(self) -> int:
+        return len(self.chosen)
+
+    def as_pairs(self, m: int) -> tuple[tuple[int, int], ...]:
+        """Decode chosen flat indices as (row, col) assignment edges."""
+        return tuple(divmod(i, m) for i in self.chosen)
 
 
 @dataclass(frozen=True)
@@ -43,6 +68,40 @@ class PartialFixing:
 
 
 NO_FIXING = PartialFixing()
+
+
+class ProblemKind:
+    """Base class of the feasible sets over elements 0..n-1; a kind is one subclass.
+
+    ``n`` is the instance's element count, which a kind need not store.  A
+    subclass sets ``tag``, its name in the JSON format, and defines
+
+    * ``problems(n)``: why it cannot be used with n elements, empty if it can;
+    * ``check(sol)``: raise FeasibilityError unless sol is feasible (its
+      indices are already known to be in range);
+    * ``size(n)`` and ``enumerate(n)``: how many feasible solutions there
+      are, and each of them once as a sorted tuple of indices;
+    * ``solve(costs, fix)``: the cheapest feasible (Solution, cost) under a
+      flat n-vector of costs and a partial fixing;
+    * ``lp_rows(n)``: its LP equality rows (name, [(coef, variable)], rhs)
+      over x1..xn and ``lp_binaries()``;
+    * ``to_json()`` and the classmethod ``from_json(body)``: the body of its
+      JSON object, the part under ``tag``.
+    """
+
+    tag: str
+
+    def free_elements(self, fix: PartialFixing, n: int) -> set[int]:
+        """Elements to branch on; empty once the fixing admits one completion."""
+        return set(range(n)) - fix.forced_in - fix.forced_out
+
+    def plausible(self, fix: PartialFixing, n: int) -> bool:
+        """False if the fixing cheaply shows no completion (else solve raises)."""
+        return True
+
+    def lp_binaries(self) -> list[str]:
+        """Binary variables the LP rows use besides x1..xn."""
+        return []
 
 
 def solve_selection(costs, q: int, fix: PartialFixing = NO_FIXING) -> tuple[Solution, float]:
@@ -156,32 +215,11 @@ def solve_assignment(cost_matrix, fix: PartialFixing = NO_FIXING) -> tuple[Solut
     return sol, total
 
 
-def solve_explicit(solutions, costs, fix: PartialFixing = NO_FIXING) -> tuple[Solution, float]:
-    """Cheapest member of an explicit feasible list compatible with the fixing."""
-    c = np.asarray(costs, dtype=float)
-    best: Optional[tuple[float, tuple[int, ...]]] = None
-    for sol in solutions:
-        s = frozenset(sol)
-        if not fix.forced_in <= s or fix.forced_out & s:
-            continue
-        total = float(c[list(sol)].sum()) if sol else 0.0
-        if best is None or total < best[0]:
-            best = (total, tuple(sorted(sol)))
-    if best is None:
-        raise FeasibilityError("no explicit solution is compatible with the fixing")
-    return Solution(best[1]), best[0]
-
-
 def solve_with_costs(kind: ProblemKind, costs, fix: PartialFixing = NO_FIXING) -> tuple[Solution, float]:
-    """Dispatch on the problem kind; costs is always a flat n-vector."""
-    c = np.asarray(costs, dtype=float)
-    if isinstance(kind, Selection):
-        return solve_selection(c, kind.q, fix)
-    if isinstance(kind, Assignment):
-        return solve_assignment(c.reshape(kind.m, kind.m), fix)
-    if isinstance(kind, Explicit):
-        return solve_explicit(kind.solutions, c, fix)
-    raise ValueError(f"no base solver for problem kind {kind!r}")
+    """Solve the kind's linear-cost problem; costs is always a flat n-vector."""
+    if not isinstance(kind, ProblemKind):
+        raise ValueError(f"unknown problem kind {kind!r}")
+    return kind.solve(np.asarray(costs, dtype=float), fix)
 
 
 @dataclass(frozen=True)

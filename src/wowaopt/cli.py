@@ -23,7 +23,8 @@ from .experiments import (
     summaries_to_csv,
     summarize,
 )
-from .mip import NonIncreasingWeightsError, build_mip, export_lp
+from .aggregation import NonIncreasingWeightsError
+from .mip import build_mip, export_lp
 from .model import (
     FeasibilityError,
     InstanceFormatError,
@@ -152,7 +153,10 @@ def _cmd_solve(args) -> int:
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:  # e.g. search space too large, unordered weights
+    except NonIncreasingWeightsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except ValueError as exc:  # e.g. search space too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"value={_fmt(value)} method={args.method} status={status} bound={bound}")

@@ -15,24 +15,14 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from math import comb, factorial
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .aggregation import DistortionFunction, wowa_batch
+from .aggregation import DistortionFunction, NonIncreasingWeightsError, wowa_batch
 from .approx import approx_solve
-from .base_solvers import PartialFixing, solve_with_costs
-from .model import (
-    Assignment,
-    Explicit,
-    FeasibilityError,
-    ScenarioInstance,
-    Selection,
-    Solution,
-    scenario_costs,
-    wowa_value,
-)
+from .base_solvers import FeasibilityError, PartialFixing, Solution, solve_with_costs
+from .model import ScenarioInstance, scenario_costs, wowa_value
 
 __all__ = [
     "ExactResult",
@@ -92,29 +82,13 @@ def wowa_via_decomposition(inst: ScenarioInstance, sol: Solution, check: bool = 
 
 
 def search_space_size(inst: ScenarioInstance) -> int:
-    kind = inst.kind
-    if isinstance(kind, Selection):
-        return comb(inst.n, kind.q)
-    if isinstance(kind, Assignment):
-        return factorial(kind.m)
-    if isinstance(kind, Explicit):
-        return len(kind.solutions)
-    raise ValueError(f"unknown problem kind {kind!r}")
+    return inst.kind.size(inst.n)
 
 
-def _enumerate_feasible(inst: ScenarioInstance) -> Iterable[tuple[int, ...]]:
-    kind = inst.kind
-    if isinstance(kind, Selection):
-        yield from itertools.combinations(range(inst.n), kind.q)
-    elif isinstance(kind, Assignment):
-        m = kind.m
-        for perm in itertools.permutations(range(m)):
-            yield tuple(r * m + perm[r] for r in range(m))
-    elif isinstance(kind, Explicit):
-        for sol in kind.solutions:
-            yield tuple(sorted(sol))
-    else:
-        raise ValueError(f"unknown problem kind {kind!r}")
+def _chunks(inst: ScenarioInstance) -> Iterator[list[tuple[int, ...]]]:
+    feasible = inst.kind.enumerate(inst.n)
+    while chunk := list(itertools.islice(feasible, _CHUNK)):
+        yield chunk
 
 
 def _batched_cost_vectors(inst: ScenarioInstance, subsets: list[tuple[int, ...]]) -> np.ndarray:
@@ -149,33 +123,18 @@ def brute_force(
         )
     best_val = np.inf
     best_sub: Optional[tuple[int, ...]] = None
-    count = 0
-    chunk: list[tuple[int, ...]] = []
-
-    def flush(chunk):
-        nonlocal best_val, best_sub
+    for chunk in _chunks(inst):
         values = wowa_batch(_batched_cost_vectors(inst, chunk), inst.v, inst.p)
         s = int(np.argmin(values))
         if values[s] < best_val:
             best_val = float(values[s])
             best_sub = chunk[s]
-
-    for sub in _enumerate_feasible(inst):
-        chunk.append(sub)
-        count += 1
-        if len(chunk) == _CHUNK:
-            flush(chunk)
-            chunk = []
-    if chunk:
-        flush(chunk)
     if best_sub is None:
         raise FeasibilityError("instance has no feasible solution")
 
     pareto: Optional[bool] = None
     if check_pareto:
         best_costs = inst.costs[:, list(best_sub)].sum(axis=1) if best_sub else np.zeros(inst.K)
-        pareto = True
-        chunk = []
 
         def dominated(chunk) -> bool:
             A = _batched_cost_vectors(inst, chunk)
@@ -183,20 +142,12 @@ def brute_force(
             lt = np.any(A < best_costs[:, None], axis=0)
             return bool(np.any(le & lt))
 
-        for sub in _enumerate_feasible(inst):
-            chunk.append(sub)
-            if len(chunk) == _CHUNK:
-                if dominated(chunk):
-                    pareto = False
-                    break
-                chunk = []
-        if pareto and chunk and dominated(chunk):
-            pareto = False
+        pareto = not any(dominated(chunk) for chunk in _chunks(inst))
 
     return ExactResult(
         solution=Solution(best_sub),
         objective=best_val,
-        node_count=count,
+        node_count=size,
         proof_status="optimal",
         optimal_is_pareto=pareto,
     )
@@ -267,41 +218,11 @@ class _BBContext:
         None when the node admits exactly one completion, which the bound
         solve has already evaluated.
         """
-        inst = self.inst
-        decided = fix.forced_in | fix.forced_out
-        kind = inst.kind
-        if isinstance(kind, Assignment):
-            m = kind.m
-            rows = {e // m for e in fix.forced_in}
-            cols = {e % m for e in fix.forced_in}
-
-            def free(e: int) -> bool:
-                return e not in decided and e // m not in rows and e % m not in cols
-
-        else:
-            if isinstance(kind, Selection):
-                if len(fix.forced_in) == kind.q or inst.n - len(fix.forced_out) == kind.q:
-                    return None
-
-            def free(e: int) -> bool:
-                return e not in decided
-
-        candidates = [e for e in (completion or ()) if free(e)]
+        free = self.inst.kind.free_elements(fix, self.inst.n)
+        candidates = [e for e in (completion or ()) if e in free]
         if candidates:
             return max(candidates, key=lambda e: (self.spread[e], -e))
-        for e in range(inst.n):
-            if free(e):
-                return e
-        return None
-
-
-def _child_is_plausible(inst: ScenarioInstance, fix: PartialFixing) -> bool:
-    kind = inst.kind
-    if isinstance(kind, Selection):
-        if len(fix.forced_in) > kind.q:
-            return False
-        return inst.n - len(fix.forced_out) >= kind.q
-    return True  # assignment/explicit infeasibility surfaces in the bound solve
+        return min(free, default=None)
 
 
 def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
@@ -312,7 +233,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     the best incumbent is returned with proof_status "time_limit".
     """
     if not inst.v.is_nonincreasing:
-        raise ValueError("branch-and-bound requires nonincreasing importance weights")
+        raise NonIncreasingWeightsError("branch-and-bound requires nonincreasing importance weights")
 
     ctx = _BBContext(inst)
     start = time.monotonic()
@@ -360,7 +281,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             PartialFixing(fix.forced_in | {e}, fix.forced_out),
             PartialFixing(fix.forced_in, fix.forced_out | {e}),
         ):
-            if _child_is_plausible(inst, child):
+            if inst.kind.plausible(child, inst.n):
                 heapq.heappush(heap, (bound, next(counter), child))
 
     return ExactResult(

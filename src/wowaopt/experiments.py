@@ -92,8 +92,8 @@ def instance_seed(seed: int, kind: str, size: int, k: int, alpha: Optional[float
 
 
 def default_q(n: int) -> int:
-    """Selection size when not given explicitly: 25% of n, rounded half up."""
-    return int(n * 0.25 + 0.5)
+    """Selection size when not given explicitly: 25% of n, rounded half up, at least 1."""
+    return max(1, int(n * 0.25 + 0.5))
 
 
 def gen_instance(
@@ -141,7 +141,6 @@ class ExperimentConfig:
     seed: int = 0
     time_limit: float = 3600.0
     method: str = "bb"  # "bb", "brute" or "lp-only"
-    q_fraction: float = 0.25
     lp_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -151,34 +150,30 @@ class ExperimentConfig:
             raise ValueError(f"unknown exact method {self.method!r}")
         if self.instances < 1 or self.size < 1:
             raise ValueError("instances and size must be positive")
-        if not 0.0 < self.q_fraction < 1.0:
-            raise ValueError("q_fraction must be in (0, 1)")
-
-    def q_for(self, n: int) -> Optional[int]:
-        if self.kind != "selection":
-            return None
-        return max(1, int(n * self.q_fraction + 0.5))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        fields = {
+            "K": "k_values",
+            "alpha": "alphas",
+            "instances": "instances",
+            "seed": "seed",
+            "time_limit": "time_limit",
+            "method": "method",
+            "lp_dir": "lp_dir",
+        }
+        unknown = sorted(set(doc) - set(fields) - {"kind", "size", "n", "m"})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         known = {
             "kind": doc.get("kind"),
             "size": doc.get("size", doc.get("n", doc.get("m"))),
         }
         if known["size"] is None:
             raise ValueError("config needs 'size' (or 'n'/'m')")
-        for key, name in (
-            ("K", "k_values"),
-            ("alpha", "alphas"),
-            ("instances", "instances"),
-            ("seed", "seed"),
-            ("time_limit", "time_limit"),
-            ("method", "method"),
-            ("q_fraction", "q_fraction"),
-            ("lp_dir", "lp_dir"),
-        ):
-            if key in doc:
-                known[name] = doc[key]
+        known.update((name, doc[key]) for key, name in fields.items() if key in doc)
         if "k_values" in known:
             known["k_values"] = tuple(int(k) for k in known["k_values"])
         if "alphas" in known:
@@ -273,8 +268,7 @@ def _deviation_pct(approx: float, exact: float) -> float:
 
 def _run_one(cfg: ExperimentConfig, k: int, alpha: Optional[float], index: int) -> BenchmarkRecord:
     seed = instance_seed(cfg.seed, cfg.kind, cfg.size, k, alpha, index)
-    n = cfg.size if cfg.kind == "selection" else cfg.size * cfg.size
-    inst = gen_instance(cfg.kind, cfg.size, k, alpha, seed, q=cfg.q_for(n))
+    inst = gen_instance(cfg.kind, cfg.size, k, alpha, seed)
 
     t0 = time.perf_counter()
     approx = approx_solve(inst)

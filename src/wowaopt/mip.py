@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Assignment,
-    Explicit,
-    ProblemKind,
-    ScenarioInstance,
-    Selection,
-    Solution,
-    scenario_costs,
-)
+from .aggregation import NonIncreasingWeightsError
+from .model import ProblemKind, ScenarioInstance, Solution, scenario_costs
 
 __all__ = [
     "MipModel",
@@ -36,10 +29,6 @@ __all__ = [
     "greedy_dual_point",
     "objective_at",
 ]
-
-
-class NonIncreasingWeightsError(ValueError):
-    """The model requires v1 >= v2 >= ... >= vK."""
 
 
 @dataclass(frozen=True)
@@ -62,8 +51,7 @@ class MipModel:
 
     @property
     def num_binary(self) -> int:
-        extra = len(self.kind.solutions) if isinstance(self.kind, Explicit) else 0
-        return self.n + extra
+        return self.n + len(self.kind.lp_binaries())
 
     @property
     def num_continuous(self) -> int:
@@ -124,37 +112,6 @@ def _terms(pairs) -> str:
     return " ".join(parts)
 
 
-def _kind_constraints(model: MipModel) -> list[str]:
-    kind = model.kind
-    if isinstance(kind, Selection):
-        lhs = _terms([(1.0, f"x{i + 1}") for i in range(model.n)])
-        return [f" card: {lhs} = {kind.q}"]
-    if isinstance(kind, Assignment):
-        m = kind.m
-        rows = []
-        for r in range(m):
-            lhs = _terms([(1.0, f"x{r * m + c + 1}") for c in range(m)])
-            rows.append(f" row{r + 1}: {lhs} = 1")
-        for c in range(m):
-            lhs = _terms([(1.0, f"x{r * m + c + 1}") for r in range(m)])
-            rows.append(f" col{c + 1}: {lhs} = 1")
-        return rows
-    if isinstance(kind, Explicit):
-        # Enumeration constraints: one selector per listed solution, the
-        # x vector is pinned to the chosen characteristic vector.
-        rows = []
-        lhs = _terms([(1.0, f"s{s + 1}") for s in range(len(kind.solutions))])
-        rows.append(f" pick: {lhs} = 1")
-        for i in range(model.n):
-            pairs = [(1.0, f"x{i + 1}")]
-            for s, sol in enumerate(kind.solutions):
-                if i in sol:
-                    pairs.append((-1.0, f"s{s + 1}"))
-            rows.append(f" link{i + 1}: {_terms(pairs)} = 0")
-        return rows
-    raise ValueError(f"unknown problem kind {kind!r}")
-
-
 def export_lp(model: MipModel) -> str:
     """Deterministic LP-format text for the model."""
     if model.n < 1:
@@ -175,14 +132,13 @@ def export_lp(model: MipModel) -> str:
             pairs = [(1.0, f"b{j + 1}"), (1.0, f"a_{i + 1}_{j + 1}")]
             pairs += [(-row[k], f"x{k + 1}") for k in range(model.n)]
             lines.append(f" cost{i + 1}_{j + 1}: {_terms(pairs)} >= 0")
-    lines.extend(_kind_constraints(model))
+    for name, terms, rhs in model.kind.lp_rows(model.n):
+        lines.append(f" {name}: {_terms(terms)} = {rhs}")
     lines.append("Bounds")
     for j in range(K):
         lines.append(f" b{j + 1} free")
     lines.append("Binary")
-    names = [f"x{i + 1}" for i in range(model.n)]
-    if isinstance(model.kind, Explicit):
-        names += [f"s{s + 1}" for s in range(len(model.kind.solutions))]
+    names = [f"x{i + 1}" for i in range(model.n)] + model.kind.lp_binaries()
     lines.append(" " + " ".join(names))
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -4,17 +4,23 @@ An instance is a set of n elements, a K-by-n matrix of nonnegative element
 costs (one row per scenario), scenario probabilities, importance weights,
 and a problem kind describing the feasible set.  Solutions are immutable
 sets of chosen element indices (0-based everywhere, including on disk).
+Each problem kind is one ``ProblemKind`` subclass.  ``Solution`` and
+``FeasibilityError`` come from ``base_solvers`` and are re-exported here.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Sequence, Union
+from math import comb, factorial
+from typing import Iterator
 
 import numpy as np
 
+from . import base_solvers
 from .aggregation import ProbabilityVector, SUM_TOL, WeightVector, rank_weights, wowa_batch
+from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
 
 __all__ = [
     "FORMAT_VERSION",
@@ -43,63 +49,193 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-class FeasibilityError(ValueError):
-    """A solution (or partial fixing) violates the feasible-set structure."""
-
-
 class InstanceFormatError(ValueError):
     """An instance or solution document cannot be parsed."""
 
 
+def _require(doc: dict, field: str, where: str = "instance"):
+    if not isinstance(doc, dict) or field not in doc:
+        raise InstanceFormatError(f"{where} document is missing field '{field}'")
+    return doc[field]
+
+
+def _json_int(value, field: str) -> int:
+    # bool is an int subclass, and floats such as 2.0 must not pass either
+    if type(value) is not int:
+        raise InstanceFormatError(f"{field}: expected a JSON integer, got {value!r}")
+    return value
+
+
+def _json_ints(values, field: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise InstanceFormatError(f"{field}: expected a JSON list, got {values!r}")
+    return tuple(_json_int(i, field) for i in values)
+
+
+# The solves look the base solvers up on their module at call time, so a
+# wrapper installed there sees every call.
+
+
 @dataclass(frozen=True)
-class Selection:
+class Selection(ProblemKind):
     """Choose exactly q of the n elements."""
 
     q: int
+    tag = "selection"
+
+    def problems(self, n: int) -> list[str]:
+        if not 1 <= self.q <= n:
+            return [f"kind: selection size q={self.q} outside 1..{n}"]
+        return []
+
+    def check(self, sol: Solution) -> None:
+        if len(sol) != self.q:
+            raise FeasibilityError(f"selection needs exactly q={self.q} elements, got {len(sol)}")
+
+    def size(self, n: int) -> int:
+        return comb(n, self.q)
+
+    def enumerate(self, n: int) -> Iterator[tuple[int, ...]]:
+        return itertools.combinations(range(n), self.q)
+
+    def solve(self, costs, fix):
+        return base_solvers.solve_selection(costs, self.q, fix)
+
+    def free_elements(self, fix: PartialFixing, n: int) -> set[int]:
+        if len(fix.forced_in) == self.q or n - len(fix.forced_out) == self.q:
+            return set()
+        return super().free_elements(fix, n)
+
+    def plausible(self, fix: PartialFixing, n: int) -> bool:
+        return len(fix.forced_in) <= self.q <= n - len(fix.forced_out)
+
+    def lp_rows(self, n: int):
+        return [("card", [(1.0, f"x{i + 1}") for i in range(n)], self.q)]
+
+    def to_json(self) -> dict:
+        return {"q": self.q}
+
+    @classmethod
+    def from_json(cls, body) -> "Selection":
+        return cls(q=_json_int(_require(body, "q", "kind.selection"), "kind.selection.q"))
 
 
 @dataclass(frozen=True)
-class Assignment:
+class Assignment(ProblemKind):
     """Perfect matchings in a complete m-by-m bipartite graph.
 
     Edge (row, col) maps to flat element index row * m + col.
     """
 
     m: int
+    tag = "assignment"
+
+    def problems(self, n: int) -> list[str]:
+        if self.m < 1 or self.m * self.m != n:
+            return [f"kind: assignment needs n = m^2, got n={n}, m={self.m}"]
+        return []
+
+    def check(self, sol: Solution) -> None:
+        pairs = sol.as_pairs(self.m)
+        rows = {r for r, _ in pairs}
+        cols = {c for _, c in pairs}
+        if len(pairs) != self.m or len(rows) != self.m or len(cols) != self.m:
+            raise FeasibilityError("assignment solution is not a perfect matching")
+
+    def size(self, n: int) -> int:
+        return factorial(self.m)
+
+    def enumerate(self, n: int) -> Iterator[tuple[int, ...]]:
+        m = self.m
+        for perm in itertools.permutations(range(m)):
+            yield tuple(r * m + perm[r] for r in range(m))
+
+    def solve(self, costs, fix):
+        return base_solvers.solve_assignment(costs.reshape(self.m, self.m), fix)
+
+    def free_elements(self, fix: PartialFixing, n: int) -> set[int]:
+        m = self.m
+        rows = {e // m for e in fix.forced_in}
+        cols = {e % m for e in fix.forced_in}
+        return {e for e in super().free_elements(fix, n) if e // m not in rows and e % m not in cols}
+
+    def lp_rows(self, n: int):
+        m = self.m
+        rows = [(f"row{r + 1}", [(1.0, f"x{r * m + c + 1}") for c in range(m)], 1) for r in range(m)]
+        cols = [(f"col{c + 1}", [(1.0, f"x{r * m + c + 1}") for r in range(m)], 1) for c in range(m)]
+        return rows + cols
+
+    def to_json(self) -> dict:
+        return {"m": self.m}
+
+    @classmethod
+    def from_json(cls, body) -> "Assignment":
+        return cls(m=_json_int(_require(body, "m", "kind.assignment"), "kind.assignment.m"))
 
 
 @dataclass(frozen=True)
-class Explicit:
+class Explicit(ProblemKind):
     """Feasible set given as an explicit list of element subsets."""
 
     solutions: tuple[tuple[int, ...], ...]
+    tag = "explicit"
 
     def __post_init__(self):
         normalized = tuple(tuple(sorted(int(i) for i in s)) for s in self.solutions)
         object.__setattr__(self, "solutions", normalized)
 
+    def problems(self, n: int) -> list[str]:
+        problems = [] if self.solutions else ["kind: explicit feasible set is empty"]
+        for s, sol in enumerate(self.solutions):
+            if any(not 0 <= i < n for i in sol):
+                problems.append(f"kind: explicit solution {s} has out-of-range elements")
+        return problems
 
-ProblemKind = Union[Selection, Assignment, Explicit]
+    def check(self, sol: Solution) -> None:
+        if sol.chosen not in self.solutions:
+            raise FeasibilityError("solution is not in the explicit feasible set")
+
+    def size(self, n: int) -> int:
+        return len(self.solutions)
+
+    def enumerate(self, n: int) -> Iterator[tuple[int, ...]]:
+        return iter(self.solutions)
+
+    def solve(self, costs, fix):
+        compatible = [s for s in self.solutions
+                      if fix.forced_in.issubset(s) and fix.forced_out.isdisjoint(s)]
+        if not compatible:
+            raise FeasibilityError("no explicit solution is compatible with the fixing")
+        totals = [float(costs[list(s)].sum()) for s in compatible]
+        best = int(np.argmin(totals))  # the first of equal minima
+        return Solution(compatible[best]), totals[best]
+
+    def lp_rows(self, n: int):
+        # Enumeration constraints: one selector per listed solution, the
+        # x vector is pinned to the chosen characteristic vector.
+        selectors = self.lp_binaries()
+        rows = [("pick", [(1.0, s) for s in selectors], 1)]
+        for i in range(n):
+            terms = [(1.0, f"x{i + 1}")]
+            terms += [(-1.0, s) for s, sol in zip(selectors, self.solutions) if i in sol]
+            rows.append((f"link{i + 1}", terms, 0))
+        return rows
+
+    def lp_binaries(self) -> list[str]:
+        return [f"s{s + 1}" for s in range(len(self.solutions))]
+
+    def to_json(self) -> dict:
+        return {"solutions": [list(s) for s in self.solutions]}
+
+    @classmethod
+    def from_json(cls, body) -> "Explicit":
+        sols = _require(body, "solutions", "kind.explicit")
+        if not isinstance(sols, list):
+            raise InstanceFormatError(f"kind.explicit.solutions: expected a JSON list, got {sols!r}")
+        return cls(solutions=tuple(_json_ints(s, "kind.explicit.solutions") for s in sols))
 
 
-@dataclass(frozen=True, init=False)
-class Solution:
-    """A feasible solution: the sorted set of chosen element indices."""
-
-    chosen: tuple[int, ...]
-
-    def __init__(self, chosen: Sequence[int]):
-        idx = tuple(sorted(int(i) for i in chosen))
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate element indices in solution")
-        object.__setattr__(self, "chosen", idx)
-
-    def __len__(self) -> int:
-        return len(self.chosen)
-
-    def as_pairs(self, m: int) -> tuple[tuple[int, int], ...]:
-        """Decode chosen flat indices as (row, col) assignment edges."""
-        return tuple(divmod(i, m) for i in self.chosen)
+_KINDS = {kind.tag: kind for kind in (Selection, Assignment, Explicit)}
 
 
 class ScenarioInstance:
@@ -188,21 +324,7 @@ def validate(inst: ScenarioInstance) -> list[str]:
         problems.append("v: components must lie in [0, 1]")
     elif abs(sum(inst.v_raw) - 1.0) > SUM_TOL:
         problems.append(f"v: must sum to 1, got {sum(inst.v_raw)!r}")
-    kind = inst.kind
-    if isinstance(kind, Selection):
-        if not 1 <= kind.q <= inst.n:
-            problems.append(f"kind: selection size q={kind.q} outside 1..{inst.n}")
-    elif isinstance(kind, Assignment):
-        if kind.m < 1 or kind.m * kind.m != inst.n:
-            problems.append(f"kind: assignment needs n = m^2, got n={inst.n}, m={kind.m}")
-    elif isinstance(kind, Explicit):
-        if not kind.solutions:
-            problems.append("kind: explicit feasible set is empty")
-        for s, sol in enumerate(kind.solutions):
-            if any(not 0 <= i < inst.n for i in sol):
-                problems.append(f"kind: explicit solution {s} has out-of-range elements")
-    else:
-        problems.append(f"kind: unknown problem kind {kind!r}")
+    problems += inst.kind.problems(inst.n)
     return problems
 
 
@@ -210,21 +332,7 @@ def check_feasible(inst: ScenarioInstance, sol: Solution) -> None:
     """Raise FeasibilityError unless sol is feasible for inst.kind."""
     if sol.chosen and (sol.chosen[0] < 0 or sol.chosen[-1] >= inst.n):
         raise FeasibilityError(f"element indices outside 0..{inst.n - 1}")
-    kind = inst.kind
-    if isinstance(kind, Selection):
-        if len(sol) != kind.q:
-            raise FeasibilityError(f"selection needs exactly q={kind.q} elements, got {len(sol)}")
-    elif isinstance(kind, Assignment):
-        pairs = sol.as_pairs(kind.m)
-        rows = {r for r, _ in pairs}
-        cols = {c for _, c in pairs}
-        if len(pairs) != kind.m or len(rows) != kind.m or len(cols) != kind.m:
-            raise FeasibilityError("assignment solution is not a perfect matching")
-    elif isinstance(kind, Explicit):
-        if sol.chosen not in kind.solutions:
-            raise FeasibilityError("solution is not in the explicit feasible set")
-    else:
-        raise FeasibilityError(f"unknown problem kind {kind!r}")
+    inst.kind.check(sol)
 
 
 def is_feasible(inst: ScenarioInstance, sol: Solution) -> bool:
@@ -288,42 +396,21 @@ def remove_zero_scenarios(p, costs):
 # On-disk formats (format version 1)
 #
 # Instance: JSON object with fields format, n, K, kind, p, v, costs, where
-# kind is {"selection": {"q": int}}, {"assignment": {"m": int}} or
-# {"explicit": {"solutions": [[int, ...], ...]}}.
+# kind is {tag: body} with the body a kind's to_json writes, such as
+# {"selection": {"q": int}}.  Integer fields must be JSON integers.
 # Solution: JSON object {"format": 1, "chosen": [int, ...]} with 0-based
 # element indices.
 # ---------------------------------------------------------------------------
 
 
-def _require(doc: dict, field: str, where: str = "instance"):
-    if field not in doc:
-        raise InstanceFormatError(f"{where} document is missing field '{field}'")
-    return doc[field]
-
-
 def _parse_kind(obj) -> ProblemKind:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InstanceFormatError("kind must be an object with exactly one of "
-                                  "'selection', 'assignment', 'explicit'")
+                                  f"{', '.join(repr(tag) for tag in _KINDS)}")
     tag, body = next(iter(obj.items()))
-    if tag == "selection":
-        return Selection(q=int(_require(body, "q", "kind.selection")))
-    if tag == "assignment":
-        return Assignment(m=int(_require(body, "m", "kind.assignment")))
-    if tag == "explicit":
-        sols = _require(body, "solutions", "kind.explicit")
-        return Explicit(solutions=tuple(tuple(int(i) for i in s) for s in sols))
-    raise InstanceFormatError(f"unknown problem kind '{tag}'")
-
-
-def _kind_to_json(kind: ProblemKind):
-    if isinstance(kind, Selection):
-        return {"selection": {"q": kind.q}}
-    if isinstance(kind, Assignment):
-        return {"assignment": {"m": kind.m}}
-    if isinstance(kind, Explicit):
-        return {"explicit": {"solutions": [list(s) for s in kind.solutions]}}
-    raise ValueError(f"unknown problem kind {kind!r}")
+    if tag not in _KINDS:
+        raise InstanceFormatError(f"unknown problem kind '{tag}'")
+    return _KINDS[tag].from_json(body)
 
 
 def _load_json(text: str, what: str) -> dict:
@@ -335,17 +422,17 @@ def _load_json(text: str, what: str) -> dict:
         ) from None
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{what} must be a JSON object")
+    fmt = _json_int(_require(doc, "format", what), "format")
+    if fmt != FORMAT_VERSION:
+        raise InstanceFormatError(f"unsupported format version {fmt!r}")
     return doc
 
 
 def read_instance(text: str) -> ScenarioInstance:
     """Parse an instance document; errors name the offending field."""
     doc = _load_json(text, "instance")
-    fmt = _require(doc, "format")
-    if fmt != FORMAT_VERSION:
-        raise InstanceFormatError(f"unsupported format version {fmt!r}")
-    n = int(_require(doc, "n"))
-    k = int(_require(doc, "K"))
+    n = _json_int(_require(doc, "n"), "n")
+    k = _json_int(_require(doc, "K"), "K")
     kind = _parse_kind(_require(doc, "kind"))
     p = _require(doc, "p")
     v = _require(doc, "v")
@@ -365,7 +452,7 @@ def write_instance(inst: ScenarioInstance) -> str:
         "format": FORMAT_VERSION,
         "n": inst.n,
         "K": inst.K,
-        "kind": _kind_to_json(inst.kind),
+        "kind": {inst.kind.tag: inst.kind.to_json()},
         "p": list(inst.p.values),
         "v": list(inst.v.values),
         "costs": [list(row) for row in inst.costs.tolist()],
@@ -375,13 +462,7 @@ def write_instance(inst: ScenarioInstance) -> str:
 
 def read_solution(text: str) -> Solution:
     doc = _load_json(text, "solution")
-    fmt = _require(doc, "format", "solution")
-    if fmt != FORMAT_VERSION:
-        raise InstanceFormatError(f"unsupported format version {fmt!r}")
-    chosen = _require(doc, "chosen", "solution")
-    if not isinstance(chosen, list):
-        raise InstanceFormatError("solution field 'chosen' must be a list of indices")
-    return Solution(chosen)
+    return Solution(_json_ints(_require(doc, "chosen", "solution"), "chosen"))
 
 
 def write_solution(sol: Solution) -> str:

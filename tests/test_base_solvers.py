@@ -122,6 +122,19 @@ class TestAssignment:
         with pytest.raises(FeasibilityError):
             solve_assignment(np.ones((2, 2)), PartialFixing(frozenset({0, 1}), frozenset()))
 
+    @pytest.mark.parametrize("m", [10, 30, 100])
+    def test_matches_scipy_linear_sum_assignment(self, m):
+        pytest.importorskip("scipy")
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.RandomState(m)
+        for _ in range(3):
+            cost = rng.randint(0, 1000, size=(m, m)).astype(float)
+            sol, obj = solve_assignment(cost)
+            rows, cols = linear_sum_assignment(cost)
+            assert obj == cost[rows, cols].sum()
+            assert sorted(c for _, c in sol.as_pairs(m)) == list(range(m))
+
     def test_fixing_respected_and_monotone(self):
         rng = np.random.RandomState(3)
         for _ in range(60):

@@ -48,6 +48,13 @@ class TestGenerate:
                   "--alpha", 0.01, "--seed", 0, "--out", tmp_path / "x.json")
         assert res.returncode == 2
 
+    def test_single_element_selection(self, tmp_path):
+        out = tmp_path / "one.json"
+        res = cli("generate", "--kind", "selection", "--n", 1, "-K", 2,
+                  "--alpha", 0.01, "--seed", 0, "--out", out)
+        assert res.returncode == 0, res.stderr
+        assert read_instance(out.read_text()).kind.q == 1
+
     def test_uniform_alpha(self, tmp_path):
         out = tmp_path / "u.json"
         res = cli("generate", "--kind", "selection", "--n", 8, "-K", 4,
@@ -143,6 +150,16 @@ class TestExportMip:
         assert "nonincreasing" in res.stderr
 
 
+    def test_bb_non_monotone_weights_exit_code(self, tmp_path):
+        inst_path = tmp_path / "nm.json"
+        doc = json.loads((GOLDEN / "selection_tiny.json").read_text())
+        doc["v"] = [0.3, 0.7]
+        inst_path.write_text(json.dumps(doc))
+        res = cli("solve", "--in", inst_path, "--method", "bb")
+        assert res.returncode == 4
+        assert "nonincreasing" in res.stderr
+
+
 class TestBench:
     def test_single_cell_single_instance(self, tmp_path):
         cfg = {"kind": "selection", "size": 10, "K": [2], "alpha": [0.01],
@@ -179,6 +196,18 @@ class TestBench:
         cfg_path.write_text(json.dumps({"kind": "nope", "size": 5}))
         res = cli("bench", "--config", cfg_path, "--out-csv", tmp_path / "x.csv")
         assert res.returncode == 2
+
+
+    @pytest.mark.parametrize("cfg, named", [
+        ({"kind": "selection", "size": 5, "q_fraction": 0.5}, "q_fraction"),
+        ([1], "JSON object"),
+    ], ids=["unknown-key", "not-an-object"])
+    def test_rejected_config_exit_code(self, tmp_path, cfg, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        res = cli("bench", "--config", cfg_path, "--out-csv", tmp_path / "x.csv")
+        assert res.returncode == 2
+        assert named in res.stderr
 
 
 def test_help_documents_zero_based_indices():

@@ -103,6 +103,7 @@ class TestGenInstance:
         assert default_q(10) == 3   # 2.5 rounds up
         assert default_q(6) == 2    # 1.5 rounds up
         assert default_q(2) == 1
+        assert default_q(1) == 1    # never below 1
 
     def test_selection_q_applied(self):
         inst = gen_instance("selection", 12, 2, 1e-2, 0)

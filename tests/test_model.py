@@ -1,3 +1,7 @@
+import copy
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from wowaopt import (
     Explicit,
     FeasibilityError,
     InstanceFormatError,
+    PartialFixing,
     ScenarioInstance,
     Selection,
     Solution,
@@ -232,6 +237,74 @@ class TestSerialization:
 
     def test_explicit_kind_round_trip(self, paths_instance):
         assert read_instance(write_instance(paths_instance)).kind == paths_instance.kind
+
+
+_SELECTION_DOC = {"format": 1, "n": 3, "K": 1, "kind": {"selection": {"q": 2}},
+                  "p": [1.0], "v": [1.0], "costs": [[1.0, 2.0, 3.0]]}
+_ASSIGNMENT_DOC = {**_SELECTION_DOC, "n": 4, "kind": {"assignment": {"m": 2}},
+                   "costs": [[1.0, 2.0, 3.0, 4.0]]}
+_EXPLICIT_DOC = {**_SELECTION_DOC, "kind": {"explicit": {"solutions": [[0, 2], [1]]}}}
+_SOLUTION_DOC = {"format": 1, "chosen": [0, 2]}
+
+# (field named in the error, reader, valid document, path to one integer in it)
+_INTEGER_FIELDS = [
+    ("format", read_instance, _SELECTION_DOC, ("format",)),
+    ("n", read_instance, _SELECTION_DOC, ("n",)),
+    ("K", read_instance, _SELECTION_DOC, ("K",)),
+    ("kind.selection.q", read_instance, _SELECTION_DOC, ("kind", "selection", "q")),
+    ("kind.assignment.m", read_instance, _ASSIGNMENT_DOC, ("kind", "assignment", "m")),
+    ("kind.explicit.solutions", read_instance, _EXPLICIT_DOC,
+     ("kind", "explicit", "solutions", 0, 1)),
+    ("format", read_solution, _SOLUTION_DOC, ("format",)),
+    ("chosen", read_solution, _SOLUTION_DOC, ("chosen", 1)),
+]
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.9, True, "2"], ids=["2.0", "2.9", "true", "string"])
+@pytest.mark.parametrize("field, reader, doc, path", _INTEGER_FIELDS,
+                         ids=[f"{r.__name__}:{f}" for f, r, _, _ in _INTEGER_FIELDS])
+def test_integer_fields_must_be_json_integers(field, reader, doc, path, bad):
+    reader(json.dumps(doc))  # the unmodified document is valid
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(InstanceFormatError, match=rf"^{re.escape(field)}: expected a JSON integer"):
+        reader(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(Selection(q=3), 7), (Assignment(m=4), 16), (Explicit(PATHS_FEASIBLE), 5)],
+    ids=["selection", "assignment", "explicit"],
+)
+def test_kind_methods_agree_with_enumeration(kind, n):
+    inst = ScenarioInstance(np.zeros((1, n)), [1.0], [1.0], kind)
+    feasible = list(kind.enumerate(n))
+    assert len(feasible) == kind.size(n) == len(set(feasible))
+    for sol in feasible:
+        check_feasible(inst, Solution(sol))
+    rng = np.random.RandomState(11)
+    for _ in range(200):
+        costs = rng.randint(0, 20, size=n).astype(float)
+        order = rng.permutation(n).tolist()
+        n_in, n_out = rng.randint(0, 5, size=2)
+        fix = PartialFixing(order[:n_in], order[n_in:n_in + n_out])
+        compatible = [s for s in feasible
+                      if fix.forced_in <= set(s) and not fix.forced_out & set(s)]
+        if not kind.plausible(fix, n):
+            assert not compatible
+        if not kind.free_elements(fix, n):
+            assert len(compatible) <= 1
+        if not compatible:
+            with pytest.raises(FeasibilityError):
+                kind.solve(costs, fix)
+            continue
+        sol, value = kind.solve(costs, fix)
+        assert sol.chosen in compatible
+        assert value == costs[list(sol.chosen)].sum()
+        assert value == min(costs[list(s)].sum() for s in compatible)
 
 
 def test_instances_expose_immutable_costs(paths_instance):
