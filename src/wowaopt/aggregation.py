@@ -11,6 +11,7 @@ importance weights it reduces to the expected value, and the vector
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +94,11 @@ class WeightVector:
     def uniform(cls, k: int) -> "WeightVector":
         return cls([1.0 / k] * k)
 
+    @cached_property
+    def distortion(self) -> "DistortionFunction":
+        """The distortion w* of these weights, built on first use."""
+        return DistortionFunction(np.concatenate(([0.0], np.cumsum(self.as_array()))))
+
 
 @dataclass(frozen=True, init=False)
 class ProbabilityVector:
@@ -126,6 +132,13 @@ class ProbabilityVector:
     def uniform(cls, k: int) -> "ProbabilityVector":
         return cls([1.0 / k] * k)
 
+    @cached_property
+    def _array(self) -> np.ndarray:
+        # read-only: one array is shared by every evaluation
+        arr = self.as_array()
+        arr.flags.writeable = False
+        return arr
+
 
 @dataclass(frozen=True, init=False)
 class DistortionFunction:
@@ -153,8 +166,7 @@ class DistortionFunction:
 
     @classmethod
     def from_weights(cls, v: WeightVector | Sequence[float]) -> "DistortionFunction":
-        v = v if isinstance(v, WeightVector) else WeightVector(v)
-        return cls(np.concatenate(([0.0], np.cumsum(v.as_array()))))
+        return _coerce_v(v).distortion
 
     @property
     def k(self) -> int:
@@ -195,6 +207,18 @@ def _coerce_p(p) -> ProbabilityVector:
     return p if isinstance(p, ProbabilityVector) else ProbabilityVector(p)
 
 
+def _rank_omegas(v: WeightVector, ranked_p: np.ndarray) -> np.ndarray:
+    """Rank weights along axis 0 for probabilities already in rank order.
+
+    omega_j = w*(P_j) - w*(P_{j-1}) with P_j the cumulative sums, clamped to
+    [0, 1] so float drift cannot leave the domain of w*.  Every rank weight
+    in the package comes from here, so all of them agree bit for bit.
+    """
+    d = v.distortion
+    cum = np.clip(np.cumsum(ranked_p, axis=0), 0.0, 1.0)
+    return np.diff(np.interp(cum, d._grid, d._bp), axis=0, prepend=0.0)
+
+
 def rank_weights(v, p, sigma) -> RankWeights:
     """Rank weights omega_j = w*(sum_{i<=j} p_sigma(i)) - w*(sum_{i<j} p_sigma(i)).
 
@@ -207,10 +231,8 @@ def rank_weights(v, p, sigma) -> RankWeights:
     if v.k != p.k:
         raise ValueError(f"v has {v.k} components but p has {p.k}")
     sigma = _check_permutation(sigma, p.k)
-    d = DistortionFunction.from_weights(v)
-    cum = np.clip(np.cumsum(p.as_array()[list(sigma)]), 0.0, 1.0)
-    w = np.interp(np.concatenate(([0.0], cum)), d._grid, d._bp)
-    return RankWeights(omegas=tuple(np.diff(w).tolist()), permutation=sigma)
+    omegas = _rank_omegas(v, p._array[list(sigma)])
+    return RankWeights(omegas=tuple(omegas.tolist()), permutation=sigma)
 
 
 def wowa_batch(a_columns: np.ndarray, v, p) -> np.ndarray:
@@ -229,13 +251,9 @@ def wowa_batch(a_columns: np.ndarray, v, p) -> np.ndarray:
         raise ValueError(f"expected a {v.k}-row matrix, got shape {A.shape}")
     if v.k != p.k:
         raise ValueError(f"v has {v.k} components but p has {p.k}")
-    d = DistortionFunction.from_weights(v)
     order = np.argsort(-A, axis=0, kind="stable")
     sa = np.take_along_axis(A, order, axis=0)
-    sp = p.as_array()[order]
-    cum = np.clip(np.cumsum(sp, axis=0), 0.0, 1.0)
-    w = np.interp(cum, d._grid, d._bp)
-    omega = np.diff(w, axis=0, prepend=0.0)
+    omega = _rank_omegas(v, p._array[order])
     # Accumulate row by row so the float result is independent of the batch
     # width; numpy reductions change association with shape otherwise.
     out = np.zeros(A.shape[1])
@@ -278,13 +296,21 @@ def generate_weights(alpha: float, k: int) -> WeightVector:
     """Nonincreasing weight vector from the concave generator (1 - alpha^z) / (1 - alpha).
 
     v_j is the increment of the generator between (j-1)/K and j/K, so the
-    vector sums to one by construction.  Smaller alpha concentrates weight
-    on the first ranks (more risk averse).
+    vector sums to one by construction, and it is nonincreasing for every
+    alpha in (0, 1).  Smaller alpha concentrates weight on the first ranks
+    (more risk averse).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     if k < 1:
         raise ValueError(f"K must be positive, got {k!r}")
     z = np.arange(k + 1) / k
-    g = (1.0 - alpha**z) / (1.0 - alpha)
-    return WeightVector(np.diff(g))
+    v = np.diff((1.0 - alpha**z) / (1.0 - alpha))
+    if np.any(v[1:] > v[:-1]):
+        # Near alpha = 1 the rounding error of 1 - alpha**z (about 1e-6 of an
+        # increment at alpha = 1 - 1e-9) swamps the differences between the
+        # increments.  expm1 computes the generator to a few ulps instead,
+        # and the running minimum removes what rounding is left.  Weights
+        # that are already nonincreasing are kept bit for bit.
+        v = np.minimum.accumulate(np.diff(-np.expm1(z * np.log(alpha)) / (1.0 - alpha)))
+    return WeightVector(v)

@@ -19,10 +19,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .aggregation import DistortionFunction, NonIncreasingWeightsError, wowa_batch
+from .aggregation import NonIncreasingWeightsError, _rank_omegas, wowa_batch
 from .approx import approx_solve
 from .base_solvers import FeasibilityError, PartialFixing, Solution, solve_with_costs
-from .model import ScenarioInstance, scenario_costs, wowa_value
+from .model import ScenarioInstance, scenario_costs
 
 __all__ = [
     "ExactResult",
@@ -164,8 +164,9 @@ def brute_force(
 # the node's partial fixing; a few Frank-Wolfe steps on w (each step's
 # direction is the rank-weight vector of the current completion's cost
 # ordering) tighten the bound well beyond the plain expectation bound.
-# Every relaxation solve also yields a feasible completion, which is used
-# to improve the incumbent for free.
+# Every relaxation solve also yields a feasible completion; the node's
+# distinct completions are evaluated together, in one kernel call, to
+# improve the incumbent for free.
 # ---------------------------------------------------------------------------
 
 _FW_STEPS = 10
@@ -178,36 +179,36 @@ class _BBContext:
         self.inst = inst
         self.C = np.asarray(inst.costs)
         self.p = inst.p.as_array()
-        d = DistortionFunction.from_weights(inst.v)
-        self.grid = d._grid
-        self.bp = d._bp
         self.spread = self.C.max(axis=0) - self.C.min(axis=0)
 
-    def omega_along(self, pi: np.ndarray) -> np.ndarray:
-        cum = np.clip(np.cumsum(self.p[pi]), 0.0, 1.0)
-        w = np.interp(cum, self.grid, self.bp)
-        return np.diff(w, prepend=0.0)
+    def node_bound(self, fix: PartialFixing, target: float):
+        """Frank-Wolfe-refined lower bound, cut short once it reaches target.
 
-    def node_bound(self, fix: PartialFixing, on_completion):
-        """Frank-Wolfe-refined lower bound plus the last best completion."""
+        Returns the bound, the completion that attained it, and the node's
+        distinct completions with their K-by-S matrix of scenario costs.
+        """
         inst = self.inst
         bound = -np.inf
         best_completion: Optional[tuple[int, ...]] = None
+        found: dict[tuple[int, ...], tuple[Solution, np.ndarray]] = {}
         w_scen = self.p
         for step in range(_FW_STEPS):
-            d = w_scen @ self.C
-            sol, value = solve_with_costs(inst.kind, d, fix)
+            sol, value = solve_with_costs(inst.kind, w_scen @ self.C, fix)
             if value > bound:
                 bound = value
                 best_completion = sol.chosen
-            costs = on_completion(sol)
+            if sol.chosen not in found:
+                found[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
+            if bound >= target or step == _FW_STEPS - 1:
+                break
+            costs = found[sol.chosen][1]
             pi = np.argsort(-costs, kind="stable")
-            omega = self.omega_along(pi)
-            direction = np.empty_like(omega)
-            direction[pi] = omega
+            direction = np.empty(inst.K)
+            direction[pi] = _rank_omegas(inst.v, self.p[pi])
             gamma = 2.0 / (step + 2.0)
             w_scen = (1.0 - gamma) * w_scen + gamma * direction
-        return bound, best_completion
+        completions, costs = zip(*found.values())
+        return bound, best_completion, completions, np.column_stack(costs)
 
     def branch_element(self, fix: PartialFixing, completion) -> Optional[int]:
         """Undecided element with the largest scenario-cost spread.
@@ -242,15 +243,6 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     best_sol = incumbent.solution
     best_val = incumbent.wowa_objective
 
-    def on_completion(sol: Solution) -> np.ndarray:
-        nonlocal best_sol, best_val
-        costs = scenario_costs(inst, sol, check=False)
-        value = wowa_value(inst, sol, check=False)
-        if value < best_val:
-            best_val = value
-            best_sol = sol
-        return costs
-
     def margin() -> float:
         return 1e-12 * max(1.0, abs(best_val))
 
@@ -269,9 +261,15 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             break
         node_count += 1
         try:
-            bound, completion = ctx.node_bound(fix, on_completion)
+            bound, completion, completions, costs = ctx.node_bound(fix, best_val - margin())
         except FeasibilityError:
             continue
+        # values from the shared kernel equal wowa_value bit for bit
+        values = wowa_batch(costs, inst.v, inst.p)
+        s = int(np.argmin(values))
+        if values[s] < best_val:
+            best_val = float(values[s])
+            best_sol = completions[s]
         if bound >= best_val - margin():
             continue
         e = ctx.branch_element(fix, completion)

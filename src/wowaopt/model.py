@@ -66,6 +66,20 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+_NUMBER_TYPES = {int, float}
+
+
+def _json_numbers(values, field: str) -> list:
+    # One pass over the entries.  bool is an int subclass, and strings and
+    # null must not be parsed into numbers either.
+    if not isinstance(values, list):
+        raise InstanceFormatError(f"{field}: expected a JSON list, got {values!r}")
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        bad = next(x for x in values if type(x) not in _NUMBER_TYPES)
+        raise InstanceFormatError(f"{field}: expected a JSON number, got {bad!r}")
+    return values
+
+
 def _json_ints(values, field: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise InstanceFormatError(f"{field}: expected a JSON list, got {values!r}")
@@ -397,7 +411,8 @@ def remove_zero_scenarios(p, costs):
 #
 # Instance: JSON object with fields format, n, K, kind, p, v, costs, where
 # kind is {tag: body} with the body a kind's to_json writes, such as
-# {"selection": {"q": int}}.  Integer fields must be JSON integers.
+# {"selection": {"q": int}}.  Integer fields must be JSON integers, and the
+# entries of p, v and costs JSON numbers.
 # Solution: JSON object {"format": 1, "chosen": [int, ...]} with 0-based
 # element indices.
 # ---------------------------------------------------------------------------
@@ -434,14 +449,17 @@ def read_instance(text: str) -> ScenarioInstance:
     n = _json_int(_require(doc, "n"), "n")
     k = _json_int(_require(doc, "K"), "K")
     kind = _parse_kind(_require(doc, "kind"))
-    p = _require(doc, "p")
-    v = _require(doc, "v")
+    p = _json_numbers(_require(doc, "p"), "p")
+    v = _json_numbers(_require(doc, "v"), "v")
     costs = _require(doc, "costs")
-    arr = np.asarray(costs, dtype=float)
-    if arr.ndim != 2 or arr.shape != (k, n):
-        raise InstanceFormatError(f"costs: expected a {k}x{n} matrix, got shape {arr.shape}")
+    if not isinstance(costs, list) or len(costs) != k or any(
+        not isinstance(row, list) or len(row) != n for row in costs
+    ):
+        raise InstanceFormatError(f"costs: expected a {k}x{n} matrix as a JSON list of rows")
+    for row in costs:
+        _json_numbers(row, "costs")
     try:
-        return ScenarioInstance(arr, p, v, kind)
+        return ScenarioInstance(np.array(costs, dtype=float).reshape(k, n), p, v, kind)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
 

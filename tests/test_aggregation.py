@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import ref_f_pi, ref_owa, ref_rank_weights, ref_wowa, ref_wstar, sort_desc_stable
 from wowaopt import (
@@ -16,6 +17,7 @@ from wowaopt import (
     wowa,
     wstar_eval,
 )
+from wowaopt.aggregation import wowa_batch
 
 TOL = 1e-9
 
@@ -120,6 +122,20 @@ class TestRankWeights:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             rank_weights(V4, P4, [0, 1, 2, 2])
+
+    @pytest.mark.parametrize("sigma, omegas", [
+        ((0, 3, 1, 2), ("0x1.999999999999ap-1", "0x1.47ae147ae1478p-4",
+                        "0x1.eb851eb851eb8p-4", "0x0.0p+0")),
+        ((3, 2, 0, 1), ("0x1.999999999999ap-3", "0x1.70a3d70a3d70bp-2",
+                        "0x1.c28f5c28f5c28p-2", "0x0.0p+0")),
+        ((2, 0, 1, 3), ("0x1.999999999999ap-2", "0x1.1eb851eb851ebp-1",
+                        "0x1.47ae147ae1480p-5", "0x0.0p+0")),
+        ((0, 1, 2, 3), ("0x1.999999999999ap-1", "0x1.47ae147ae1478p-3",
+                        "0x1.47ae147ae1480p-5", "0x0.0p+0")),
+    ])
+    def test_worked_examples_bit_for_bit(self, sigma, omegas):
+        # recorded from the separate rank-weight code the shared step replaced
+        assert tuple(x.hex() for x in rank_weights(V4, P4, sigma).omegas) == omegas
 
     def test_omegas_in_unit_range_and_sum_to_one(self):
         rng = np.random.RandomState(2)
@@ -311,6 +327,18 @@ class TestGenerateWeights:
             for k in range(1, 21):
                 assert generate_weights(alpha, k).is_nonincreasing
 
+    def test_nonincreasing_near_uniform(self):
+        for alpha in (1 - 1e-7, 1 - 1e-9):
+            for k in range(1, 60):
+                assert generate_weights(alpha, k).is_nonincreasing, (alpha, k)
+
+    def test_plain_increments_where_already_nonincreasing(self):
+        for alpha in (1e-2, 1e-4, 0.5):
+            for k in (2, 5, 10):
+                z = np.arange(k + 1) / k
+                increments = np.diff((1.0 - alpha**z) / (1.0 - alpha))
+                assert generate_weights(alpha, k) == WeightVector(increments)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             generate_weights(0.0, 4)
@@ -324,3 +352,29 @@ def test_rank_weights_type_carries_permutation():
     rw = rank_weights(V4, P4, (2, 0, 1, 3))
     assert isinstance(rw, RankWeights)
     assert rw.permutation == (2, 0, 1, 3)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    k = draw(st.sampled_from([1, 2, 5, 10]))
+    positive = st.floats(0.01, 1.0)
+    v = np.array(draw(st.lists(positive, min_size=k, max_size=k)))
+    p = np.array(draw(st.lists(positive, min_size=k, max_size=k)))
+    # small integers give many ties within a column
+    entry = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1e6))
+    column = st.lists(entry, min_size=k, max_size=k)
+    columns = draw(st.lists(column, min_size=1, max_size=20))
+    return WeightVector(v / v.sum()), ProbabilityVector(p / p.sum()), np.array(columns).T
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kernel_inputs())
+def test_wowa_batch_values_do_not_depend_on_batch_width(inputs):
+    v, p, distinct = inputs
+    alone = [wowa_batch(distinct[:, [s]], v, p)[0].hex() for s in range(distinct.shape[1])]
+    # 2048 columns cycling through the distinct ones, each at many positions
+    A = distinct[:, np.arange(2048) % distinct.shape[1]]
+    expected = [alone[s % distinct.shape[1]] for s in range(2048)]
+    for width in (2, 7, 2048):
+        values = np.concatenate([wowa_batch(A[:, s:s + width], v, p) for s in range(0, 2048, width)])
+        assert [x.hex() for x in values.tolist()] == expected

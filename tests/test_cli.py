@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,18 @@ from conftest import GOLDEN
 from wowaopt import read_instance, wowa_value, read_solution
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def cli(*args, **kwargs):
+    # pytest's pythonpath setting does not reach a child process
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, "-m", "wowaopt.cli", *[str(a) for a in args]],
         capture_output=True,
         text=True,
+        env=env,
         **kwargs,
     )
 
@@ -100,6 +109,15 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli("solve", "--in", bad, "--method", "brute").returncode == 2
+
+    def test_ragged_costs_exit_code(self, tmp_path):
+        bad = tmp_path / "ragged.json"
+        doc = json.loads((GOLDEN / "selection_tiny.json").read_text())
+        doc["costs"][0] = doc["costs"][0][:-1]
+        bad.write_text(json.dumps(doc))
+        res = cli("solve", "--in", bad, "--method", "brute")
+        assert res.returncode == 2
+        assert "costs" in res.stderr and "Traceback" not in res.stderr
 
 
 class TestEval:

@@ -15,6 +15,7 @@ from wowaopt import (
     brute_force,
     compute_Lj,
     exact_bb,
+    gen_instance,
     scenario_costs,
     search_space_size,
     solve_selection,
@@ -156,7 +157,30 @@ class TestBruteForce:
         assert brute_force(paths_instance).optimal_is_pareto is None
 
 
+# (kind, size, K, alpha, seed, node_count, objective.hex()) of exact_bb on
+# benchmark-sized instances; these were recorded before the node bound
+# evaluated its completions in one batch and stopped at the incumbent, and
+# any change to the search order, the bounds or the kernel shows here.
+_BB_PINS = [
+    ("selection", 20, 5, 1e-2, 700, 73, "0x1.3ddfabfcd6dc1p+7"),
+    ("selection", 20, 5, 1e-4, 701, 53, "0x1.a80c231152dddp+7"),
+    ("selection", 20, 10, 1e-2, 702, 75, "0x1.0500d5cdbf7d8p+8"),
+    ("selection", 20, 10, 1e-4, 703, 269, "0x1.f6bca22120762p+7"),
+    ("assignment", 6, 5, 1e-2, 704, 11, "0x1.b4abadfd44fa3p+7"),
+    ("assignment", 6, 5, 1e-4, 705, 27, "0x1.02df2c1fc6b0ep+8"),
+    ("assignment", 6, 10, 1e-2, 706, 11, "0x1.180b5902ee69cp+8"),
+    ("assignment", 6, 10, 1e-4, 707, 57, "0x1.19e55f7228376p+8"),
+]
+
+
 class TestBranchAndBound:
+    @pytest.mark.parametrize("kind, size, k, alpha, seed, nodes, objective", _BB_PINS)
+    def test_search_is_pinned(self, kind, size, k, alpha, seed, nodes, objective):
+        inst = gen_instance(kind, size, k, alpha, seed, q=5 if kind == "selection" else None)
+        res = exact_bb(inst)
+        assert (res.node_count, res.objective.hex()) == (nodes, objective)
+        assert res.objective == wowa_value(inst, res.solution)
+
     def test_matches_brute_force_selection(self):
         rng = np.random.RandomState(5)
         for _ in range(60):
@@ -220,7 +244,7 @@ class TestBranchAndBound:
             ctx = _BBContext(inst)
             e1, e2 = rng.choice(8, size=2, replace=False).tolist()
             fix = PartialFixing(frozenset({e1}), frozenset({e2}))
-            bound, _ = ctx.node_bound(fix, lambda sol: scenario_costs(inst, sol, check=False))
+            bound, *_ = ctx.node_bound(fix, np.inf)
             completions = [
                 wowa_value(inst, Solution((e1,) + rest))
                 for rest in itertools.combinations(

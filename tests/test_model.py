@@ -274,6 +274,19 @@ def test_integer_fields_must_be_json_integers(field, reader, doc, path, bad):
         reader(json.dumps(doc))
 
 
+@pytest.mark.parametrize("bad", ["1.0", True, None], ids=["string", "true", "null"])
+@pytest.mark.parametrize("field, path", [("p", ("p", 0)), ("v", ("v", 0)),
+                                         ("costs", ("costs", 0, 1))], ids=["p", "v", "costs"])
+def test_float_fields_must_be_json_numbers(field, path, bad):
+    doc = copy.deepcopy(_SELECTION_DOC)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(InstanceFormatError, match=rf"^{field}: expected a JSON number"):
+        read_instance(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "kind, n",
     [(Selection(q=3), 7), (Assignment(m=4), 16), (Explicit(PATHS_FEASIBLE), 5)],
