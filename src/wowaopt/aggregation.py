@@ -298,7 +298,10 @@ def generate_weights(alpha: float, k: int) -> WeightVector:
     v_j is the increment of the generator between (j-1)/K and j/K, so the
     vector sums to one by construction, and it is nonincreasing for every
     alpha in (0, 1).  Smaller alpha concentrates weight on the first ranks
-    (more risk averse).
+    (more risk averse).  The plain increments are kept, bit for bit, only if
+    nonincreasing and each within 1e-12 (absolute) of the increments of the
+    expm1 form, which is accurate to a few ulps; otherwise the running minimum
+    of the latter is returned.  So each weight is within about 1e-12 of exact.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
@@ -306,11 +309,10 @@ def generate_weights(alpha: float, k: int) -> WeightVector:
         raise ValueError(f"K must be positive, got {k!r}")
     z = np.arange(k + 1) / k
     v = np.diff((1.0 - alpha**z) / (1.0 - alpha))
-    if np.any(v[1:] > v[:-1]):
-        # Near alpha = 1 the rounding error of 1 - alpha**z (about 1e-6 of an
-        # increment at alpha = 1 - 1e-9) swamps the differences between the
-        # increments.  expm1 computes the generator to a few ulps instead,
-        # and the running minimum removes what rounding is left.  Weights
-        # that are already nonincreasing are kept bit for bit.
-        v = np.minimum.accumulate(np.diff(-np.expm1(z * np.log(alpha)) / (1.0 - alpha)))
+    # The rounding error of 1 - alpha**z, about 1e-16 / (1 - alpha) after the
+    # division, swamps the increments near alpha = 1 (at alpha = 1 - 2**-53 it
+    # gives (1, 0) for K = 2), even where it leaves them nonincreasing.
+    careful = np.diff(-np.expm1(z * np.log(alpha)) / (1.0 - alpha))
+    if np.any(v[1:] > v[:-1]) or np.max(np.abs(v - careful)) > 1e-12:
+        v = np.minimum.accumulate(careful)
     return WeightVector(v)

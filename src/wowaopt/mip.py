@@ -126,20 +126,21 @@ def export_lp(model: MipModel) -> str:
             obj.append((model.obj_alpha[i][j], f"a_{i + 1}_{j + 1}"))
     lines.append(f" obj: {_terms(obj)}")
     lines.append("Subject To")
+    xs = [f"x{k + 1}" for k in range(model.n)]
     for i in range(K):
-        row = model.costs[i]
+        # Rows cost{i}_{j} share scenario i's x part.  A leading empty name makes
+        # _terms render it to follow b_j + a_i_j: all terms signed, "" if all zero.
+        x_part = _terms([(1.0, "")] + [(-c, x) for c, x in zip(model.costs[i], xs, strict=True)])
         for j in range(K):
-            pairs = [(1.0, f"b{j + 1}"), (1.0, f"a_{i + 1}_{j + 1}")]
-            pairs += [(-row[k], f"x{k + 1}") for k in range(model.n)]
-            lines.append(f" cost{i + 1}_{j + 1}: {_terms(pairs)} >= 0")
+            head = _terms([(1.0, f"b{j + 1}"), (1.0, f"a_{i + 1}_{j + 1}")])
+            lines.append(f" cost{i + 1}_{j + 1}: {head}{x_part} >= 0")
     for name, terms, rhs in model.kind.lp_rows(model.n):
         lines.append(f" {name}: {_terms(terms)} = {rhs}")
     lines.append("Bounds")
     for j in range(K):
         lines.append(f" b{j + 1} free")
     lines.append("Binary")
-    names = [f"x{i + 1}" for i in range(model.n)] + model.kind.lp_binaries()
-    lines.append(" " + " ".join(names))
+    lines.append(" " + " ".join(xs + model.kind.lp_binaries()))
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -157,12 +158,8 @@ def greedy_dual_point(inst: ScenarioInstance, sol: Solution, check: bool = True)
     order = np.argsort(-F, kind="stable")
     cum = np.cumsum(p[order])
     K = inst.K
-    beta = np.empty(K)
-    for j in range(1, K + 1):
-        budget = j / K
-        pos = int(np.searchsorted(cum, budget, side="left"))
-        pos = min(pos, K - 1)
-        beta[j - 1] = F[order[pos]]
+    pos = np.searchsorted(cum, np.arange(1, K + 1) / K, side="left")
+    beta = F[order[np.minimum(pos, K - 1)]]
     alpha = np.maximum(0.0, F[:, None] - beta[None, :])
     return beta, alpha
 

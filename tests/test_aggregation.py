@@ -334,10 +334,22 @@ class TestGenerateWeights:
 
     def test_plain_increments_where_already_nonincreasing(self):
         for alpha in (1e-2, 1e-4, 0.5):
-            for k in (2, 5, 10):
+            for k in range(1, 61):
                 z = np.arange(k + 1) / k
                 increments = np.diff((1.0 - alpha**z) / (1.0 - alpha))
                 assert generate_weights(alpha, k) == WeightVector(increments)
+
+    def test_matches_high_precision_near_alpha_one(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 200
+        for alpha in (1 - 2**-53, 1 - 1e-12, 1 - 1e-9, 1 - 1e-6):
+            a = mpmath.mpf(alpha)
+            for k in range(1, 61):
+                g = [(1 - a ** (mpmath.mpf(j) / k)) / (1 - a) for j in range(k + 1)]
+                exact = np.array([float(g[j + 1] - g[j]) for j in range(k)])
+                v = generate_weights(alpha, k)
+                assert v.is_nonincreasing, (alpha, k)
+                assert np.max(np.abs(v.as_array() - exact)) <= 1e-12, (alpha, k)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

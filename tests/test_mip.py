@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -5,17 +6,23 @@ import pytest
 
 from conftest import GOLDEN, random_instance
 from wowaopt import (
+    Explicit,
     MipModel,
     NonIncreasingWeightsError,
+    ProbabilityVector,
     ScenarioInstance,
     Selection,
     Solution,
     brute_force,
     build_mip,
+    exact_bb,
     export_lp,
+    gen_instance,
+    generate_weights,
     greedy_dual_point,
     objective_at,
     read_instance,
+    scenario_costs,
     wowa_value,
 )
 
@@ -24,7 +31,8 @@ TOL = 1e-9
 
 def parse_lp(text: str):
     """Minimal parser for the exporter's own output: returns the objective
-    terms and the constraint rows as {name: coefficient} maps plus senses."""
+    terms and the constraint rows as {name: coefficient} maps plus senses,
+    the set of free variables and the list of binary variables."""
 
     token_re = re.compile(
         r"[A-Za-z_][A-Za-z0-9_]*|\d+\.?\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|[-+]"
@@ -47,6 +55,8 @@ def parse_lp(text: str):
 
     objective = None
     constraints = {}
+    free: set[str] = set()
+    binaries: list[str] = []
     section = None
     for line in text.splitlines():
         line = line.strip()
@@ -65,7 +75,11 @@ def parse_lp(text: str):
                 m.group(2),
                 float(m.group(3)),
             )
-    return objective, constraints
+        elif section == "Bounds" and line.endswith(" free"):
+            free.add(line.split()[0])
+        elif section == "Binary":
+            binaries += line.split()
+    return objective, constraints, free, binaries
 
 
 class TestBuildMip:
@@ -145,7 +159,7 @@ class TestExportLp:
             size = rng.randint(3, 8) if kind == "selection" else rng.randint(2, 4)
             inst = random_instance(rng, kind, size, rng.randint(1, 6))
             model = build_mip(inst)
-            objective, constraints = parse_lp(export_lp(model))
+            objective, constraints, _, _ = parse_lp(export_lp(model))
             best = brute_force(inst)
             beta, alpha = greedy_dual_point(inst, best.solution)
             point = {f"b{j + 1}": beta[j] for j in range(inst.K)}
@@ -166,7 +180,7 @@ class TestExportLp:
     def test_feasibility_rows_match_kind(self):
         rng = np.random.RandomState(3)
         inst = random_instance(rng, "assignment", 3, 2)
-        _, constraints = parse_lp(export_lp(build_mip(inst)))
+        _, constraints, _, _ = parse_lp(export_lp(build_mip(inst)))
         rows = [n for n in constraints if n.startswith("row")]
         cols = [n for n in constraints if n.startswith("col")]
         assert len(rows) == 3 and len(cols) == 3
@@ -181,3 +195,115 @@ class TestExportLp:
         )
         with pytest.raises(ValueError):
             export_lp(model)
+
+    @pytest.mark.parametrize("row", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_cost_rows_must_have_n_entries(self, row):
+        model = MipModel(
+            n=3, K=1, kind=Selection(q=1), costs=(row,), p=(1.0,), vprime=(1.0,),
+            obj_beta=(1.0,), obj_alpha=((1.0,),),
+        )
+        with pytest.raises(ValueError):
+            export_lp(model)
+
+
+def _dual_point_by_loop(inst, sol):
+    """Reference greedy_dual_point: one searchsorted call per budget j/K."""
+    F = scenario_costs(inst, sol)
+    order = np.argsort(-F, kind="stable")
+    cum = np.cumsum(inst.p.as_array()[order])
+    beta = np.empty(inst.K)
+    for j in range(1, inst.K + 1):
+        pos = min(int(np.searchsorted(cum, j / inst.K, side="left")), inst.K - 1)
+        beta[j - 1] = F[order[pos]]
+    return beta, np.maximum(0.0, F[:, None] - beta[None, :])
+
+
+def test_dual_point_matches_per_budget_loop():
+    rng = np.random.RandomState(4)
+    for trial in range(300):
+        k = rng.randint(1, 12)
+        inst = random_instance(rng, "selection", rng.randint(2, 10), k)
+        if trial % 2:  # uniform p puts cumulative sums on the budgets j/K
+            inst = ScenarioInstance(inst.costs, ProbabilityVector.uniform(k), inst.v, inst.kind)
+        sol = Solution(rng.choice(inst.n, size=inst.kind.q, replace=False).tolist())
+        beta, alpha = greedy_dual_point(inst, sol)
+        ref_beta, ref_alpha = _dual_point_by_loop(inst, sol)
+        assert beta.tobytes() == ref_beta.tobytes()
+        assert alpha.tobytes() == ref_alpha.tobytes()
+
+
+def _pinned_lp_instances():
+    rng = np.random.RandomState(11)
+
+    def p_vector(k):
+        numer = rng.randint(1, 101, size=k)
+        return ProbabilityVector(numer / numer.sum())
+
+    # Selection n=300, K=10: zero, fractional and unit costs, plus one
+    # scenario whose costs are all zero, so its coupling rows have no x part.
+    costs = np.round(rng.uniform(0.0, 100.0, size=(10, 300)), 2)
+    costs[rng.rand(10, 300) < 0.2] = 0.0
+    costs[rng.rand(10, 300) < 0.2] = 1.0
+    costs[3] = 0.0
+    selection = ScenarioInstance(costs, p_vector(10), generate_weights(1e-2, 10), Selection(q=75))
+    assignment = random_instance(rng, "assignment", 12, 6)
+    solutions = tuple(tuple(sorted(rng.choice(30, size=8, replace=False).tolist())) for _ in range(6))
+    explicit = ScenarioInstance(np.round(rng.uniform(0.0, 10.0, size=(4, 30)), 3), p_vector(4),
+                                generate_weights(1e-4, 4), Explicit(solutions))
+    single = ScenarioInstance(rng.randint(0, 50, size=(1, 200)).astype(float), [1.0], [1.0],
+                              Selection(q=20))
+    return {"selection": selection, "assignment": assignment, "explicit": explicit, "k1": single}
+
+
+# sha256 of export_lp(build_mip(inst)) for each pinned instance, so that any
+# change to the exported bytes at scale shows (the golden file is tiny).
+_LP_SHA256 = {
+    "selection": "3d62113d86621cdc9b089a8ecba0fd921220d604a7f16dda9ec9584880db903f",
+    "assignment": "1ac3d6024e8378319e334c85dee852ea305d1bc3958479f89ceff51ebae8004b",
+    "explicit": "5d5cba999ef55cc61514b93c360aa7c8f0d4e2aac126a7f83395e3ffcf684484",
+    "k1": "02021caad08d616212708ec2382707c9d82f60389de001022dc5b0294c80adf3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LP_SHA256))
+def test_export_lp_bytes_are_pinned(name):
+    text = export_lp(build_mip(_pinned_lp_instances()[name]))
+    assert hashlib.sha256(text.encode()).hexdigest() == _LP_SHA256[name]
+
+
+def _highs_optimum(text: str) -> float:
+    """Optimal objective of exported LP text, solved by HiGHS."""
+    opt = pytest.importorskip("scipy.optimize")
+    objective, constraints, free, binaries = parse_lp(text)
+    names = sorted({*objective, *free, *binaries}.union(*(c for c, _, _ in constraints.values())))
+    col = {name: k for k, name in enumerate(names)}
+    c = np.zeros(len(names))
+    for name, coef in objective.items():
+        c[col[name]] = coef
+    A = np.zeros((len(constraints), len(names)))
+    lo = np.full(len(constraints), -np.inf)
+    hi = np.full(len(constraints), np.inf)
+    for r, (coefs, sense, rhs) in enumerate(constraints.values()):
+        for name, coef in coefs.items():
+            A[r, col[name]] = coef
+        if sense in (">=", "="):
+            lo[r] = rhs
+        if sense in ("<=", "="):
+            hi[r] = rhs
+    binary = np.array([name in binaries for name in names])
+    lb = np.array([-np.inf if name in free else 0.0 for name in names])
+    res = opt.milp(c, constraints=opt.LinearConstraint(A, lo, hi),
+                   bounds=opt.Bounds(lb, np.where(binary, 1.0, np.inf)),
+                   integrality=binary.astype(int), options={"mip_rel_gap": 0.0})
+    assert res.success, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize("seed, alpha", [(1, 1e-2), (2, 1e-4)])
+@pytest.mark.parametrize("kind, size", [("selection", 40), ("assignment", 8)])
+def test_exported_model_optimum_matches_exact_bb(kind, size, k, seed, alpha):
+    """Desk-scale oracle: HiGHS on the exported text agrees with the B&B."""
+    inst = gen_instance(kind, size, k, alpha, seed)
+    expected = exact_bb(inst).objective
+    assert _highs_optimum(export_lp(build_mip(inst))) == pytest.approx(expected, rel=1e-9)
