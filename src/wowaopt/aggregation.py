@@ -51,6 +51,11 @@ def _vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _nonincreasing(arr: np.ndarray) -> bool:
+    # one exact rule for WeightVector.is_nonincreasing and DistortionFunction.is_concave
+    return bool(np.all(arr[:-1] >= arr[1:]))
+
+
 def _check_permutation(perm, k: int) -> tuple[int, ...]:
     perm = tuple(int(i) for i in perm)
     if sorted(perm) != list(range(k)):
@@ -81,7 +86,7 @@ class WeightVector:
             arr = arr / total
         arr = np.clip(arr, 0.0, 1.0)
         object.__setattr__(self, "values", tuple(arr.tolist()))
-        object.__setattr__(self, "is_nonincreasing", bool(np.all(arr[:-1] >= arr[1:])))
+        object.__setattr__(self, "is_nonincreasing", _nonincreasing(arr))
 
     @property
     def k(self) -> int:
@@ -97,7 +102,10 @@ class WeightVector:
     @cached_property
     def distortion(self) -> "DistortionFunction":
         """The distortion w* of these weights, built on first use."""
-        return DistortionFunction(np.concatenate(([0.0], np.cumsum(self.as_array()))))
+        d = DistortionFunction(np.concatenate(([0.0], np.cumsum(self.as_array()))))
+        # its slopes are the weights, not differences of their rounded sums
+        object.__setattr__(d, "_slopes", self.as_array())
+        return d
 
 
 @dataclass(frozen=True, init=False)
@@ -163,6 +171,7 @@ class DistortionFunction:
         object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
         object.__setattr__(self, "_bp", bp)
         object.__setattr__(self, "_grid", np.arange(bp.size) / (bp.size - 1))
+        object.__setattr__(self, "_slopes", np.diff(bp))
 
     @classmethod
     def from_weights(cls, v: WeightVector | Sequence[float]) -> "DistortionFunction":
@@ -174,8 +183,7 @@ class DistortionFunction:
 
     @property
     def is_concave(self) -> bool:
-        slopes = np.diff(self._bp)
-        return bool(np.all(slopes[:-1] >= slopes[1:] - SUM_TOL))
+        return _nonincreasing(self._slopes)
 
     def __call__(self, t: float) -> float:
         if not 0.0 <= t <= 1.0:
@@ -216,7 +224,9 @@ def _rank_omegas(v: WeightVector, ranked_p: np.ndarray) -> np.ndarray:
     """
     d = v.distortion
     cum = np.clip(np.cumsum(ranked_p, axis=0), 0.0, 1.0)
-    return np.diff(np.interp(cum, d._grid, d._bp), axis=0, prepend=0.0)
+    omega = np.interp(cum, d._grid, d._bp)
+    omega[1:] -= omega[:-1].copy()
+    return omega
 
 
 def rank_weights(v, p, sigma) -> RankWeights:

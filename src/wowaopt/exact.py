@@ -1,12 +1,12 @@
 """Exact WOWA minimization: tail integrals, brute force, branch-and-bound.
 
 The branch-and-bound is self-contained (no external MIP solver).  Its node
-relaxation sweeps over scenario-weight vectors from the convex set spanned
-by the rank-weight vectors (which also contains the probability vector, so
-the plain expected-cost bound is the first iterate): each such functional
-is linear in the chosen elements, so the base solver minimizes it exactly
-under the node's partial fixing, and each is a lower bound on the WOWA
-value of every completion when the importance weights are nonincreasing.
+relaxation runs Frank-Wolfe, warm-started from the parent, over weight
+vectors in the convex hull of the rank-weight vectors and the probability
+vector (the root's first iterate): each such functional is linear in the
+chosen elements, so the base solver minimizes it exactly under the node's
+partial fixing, and each is a lower bound on the WOWA value of every
+completion when the importance weights are nonincreasing.
 """
 
 from __future__ import annotations
@@ -161,15 +161,17 @@ def brute_force(
 # probability vector p itself), the functional sum_j w_j F(X, c_j) is
 # linear in the chosen elements and, for nonincreasing importance weights,
 # a lower bound on WOWA(X).  The base solver minimizes it exactly under
-# the node's partial fixing; a few Frank-Wolfe steps on w (each step's
-# direction is the rank-weight vector of the current completion's cost
-# ordering) tighten the bound well beyond the plain expectation bound.
+# the node's partial fixing; a few Frank-Wolfe steps on w tighten the bound
+# toward the LP bound max_w min_X w.F(X).  Each step points w at the rank
+# weights of the running average of the completions' costs (fictitious play;
+# the latest completion alone makes w cycle), and a child continues from its
+# parent's final (w, average) at step _FW_STEPS; the root starts from p.
 # Every relaxation solve also yields a feasible completion; the node's
 # distinct completions are evaluated together, in one kernel call, to
 # improve the incumbent for free.
 # ---------------------------------------------------------------------------
 
-_FW_STEPS = 10
+_FW_STEPS = 6
 
 
 class _BBContext:
@@ -181,17 +183,19 @@ class _BBContext:
         self.p = inst.p.as_array()
         self.spread = self.C.max(axis=0) - self.C.min(axis=0)
 
-    def node_bound(self, fix: PartialFixing, target: float):
+    def node_bound(self, fix: PartialFixing, target: float, warm=None):
         """Frank-Wolfe-refined lower bound, cut short once it reaches target.
 
-        Returns the bound, the completion that attained it, and the node's
-        distinct completions with their K-by-S matrix of scenario costs.
+        Starts from ``warm``, the parent's final (w, avg), or from (p, None).
+        Returns the bound, the completion that attained it, the node's distinct
+        completions with their K-by-S matrix of scenario costs, and (w, avg).
         """
         inst = self.inst
         bound = -np.inf
         best_completion: Optional[tuple[int, ...]] = None
         found: dict[tuple[int, ...], tuple[Solution, np.ndarray]] = {}
-        w_scen = self.p
+        w_scen, avg = warm or (self.p, None)
+        offset = 0 if avg is None else _FW_STEPS
         for step in range(_FW_STEPS):
             sol, value = solve_with_costs(inst.kind, w_scen @ self.C, fix)
             if value > bound:
@@ -201,14 +205,15 @@ class _BBContext:
                 found[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
             if bound >= target or step == _FW_STEPS - 1:
                 break
+            gamma = 2.0 / (offset + step + 2.0)
             costs = found[sol.chosen][1]
-            pi = np.argsort(-costs, kind="stable")
+            avg = costs if avg is None else (1.0 - gamma) * avg + gamma * costs
+            pi = np.argsort(-avg, kind="stable")
             direction = np.empty(inst.K)
             direction[pi] = _rank_omegas(inst.v, self.p[pi])
-            gamma = 2.0 / (step + 2.0)
             w_scen = (1.0 - gamma) * w_scen + gamma * direction
         completions, costs = zip(*found.values())
-        return bound, best_completion, completions, np.column_stack(costs)
+        return bound, best_completion, completions, np.column_stack(costs), (w_scen, avg)
 
     def branch_element(self, fix: PartialFixing, completion) -> Optional[int]:
         """Undecided element with the largest scenario-cost spread.
@@ -246,14 +251,14 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     def margin() -> float:
         return 1e-12 * max(1.0, abs(best_val))
 
-    heap: list[tuple[float, int, PartialFixing]] = []
+    heap: list[tuple[float, int, PartialFixing, Optional[tuple]]] = []
     counter = itertools.count()
-    heapq.heappush(heap, (-np.inf, next(counter), PartialFixing()))
+    heapq.heappush(heap, (-np.inf, next(counter), PartialFixing(), None))
     node_count = 0
     status = "optimal"
 
     while heap:
-        pushed_bound, _, fix = heapq.heappop(heap)
+        pushed_bound, _, fix, warm = heapq.heappop(heap)
         if pushed_bound >= best_val - margin():
             continue
         if time.monotonic() - start > time_limit:
@@ -261,7 +266,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             break
         node_count += 1
         try:
-            bound, completion, completions, costs = ctx.node_bound(fix, best_val - margin())
+            bound, completion, sols, costs, warm = ctx.node_bound(fix, best_val - margin(), warm)
         except FeasibilityError:
             continue
         # values from the shared kernel equal wowa_value bit for bit
@@ -269,7 +274,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
         s = int(np.argmin(values))
         if values[s] < best_val:
             best_val = float(values[s])
-            best_sol = completions[s]
+            best_sol = sols[s]
         if bound >= best_val - margin():
             continue
         e = ctx.branch_element(fix, completion)
@@ -280,7 +285,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             PartialFixing(fix.forced_in, fix.forced_out | {e}),
         ):
             if inst.kind.plausible(child, inst.n):
-                heapq.heappush(heap, (bound, next(counter), child))
+                heapq.heappush(heap, (bound, next(counter), child, warm))
 
     return ExactResult(
         solution=best_sol,

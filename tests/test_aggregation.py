@@ -87,6 +87,19 @@ class TestDistortion:
         assert DistortionFunction.from_weights(WeightVector(V4)).is_concave
         assert not DistortionFunction.from_weights(WeightVector([0.1, 0.6, 0.3])).is_concave
 
+    def test_concavity_and_monotonicity_share_one_exact_rule(self):
+        v = WeightVector([0.4 - 1e-10, 0.3, 0.3 + 1e-10])
+        assert not v.is_nonincreasing
+        assert not v.distortion.is_concave
+        rng = np.random.RandomState(13)
+        vectors = [generate_weights(alpha, k) for k in range(2, 60)
+                   for alpha in np.geomspace(1e-6, 0.999, 40)]
+        vectors += [WeightVector.uniform(k) for k in range(2, 60)]
+        vectors += [random_weights(rng, rng.randint(2, 60), nonincreasing=bool(i % 2))
+                    for i in range(500)]
+        for v in vectors:
+            assert v.distortion.is_concave == v.is_nonincreasing, v.values
+
     def test_matches_reference_on_random_points(self):
         rng = np.random.RandomState(0)
         for _ in range(50):

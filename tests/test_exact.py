@@ -16,12 +16,14 @@ from wowaopt import (
     compute_Lj,
     exact_bb,
     gen_instance,
+    generate_weights,
     scenario_costs,
     search_space_size,
     solve_selection,
     wowa_value,
     wowa_via_decomposition,
 )
+from wowaopt.aggregation import SUM_TOL
 
 TOL = 1e-9
 
@@ -158,23 +160,28 @@ class TestBruteForce:
 
 
 # (kind, size, K, alpha, seed, node_count, objective.hex()) of exact_bb on
-# benchmark-sized instances; these were recorded before the node bound
+# benchmark-sized instances; any change to the search order, the bounds or
+# the kernel shows here.  The objectives were recorded before the node bound
 # evaluated its completions in one batch and stopped at the incumbent, and
-# any change to the search order, the bounds or the kernel shows here.
+# have held since; the node counts are those of the averaged Frank-Wolfe
+# direction warm-started from the parent, with 6 steps per node.
 _BB_PINS = [
-    ("selection", 20, 5, 1e-2, 700, 73, "0x1.3ddfabfcd6dc1p+7"),
-    ("selection", 20, 5, 1e-4, 701, 53, "0x1.a80c231152dddp+7"),
-    ("selection", 20, 10, 1e-2, 702, 75, "0x1.0500d5cdbf7d8p+8"),
-    ("selection", 20, 10, 1e-4, 703, 269, "0x1.f6bca22120762p+7"),
-    ("assignment", 6, 5, 1e-2, 704, 11, "0x1.b4abadfd44fa3p+7"),
-    ("assignment", 6, 5, 1e-4, 705, 27, "0x1.02df2c1fc6b0ep+8"),
-    ("assignment", 6, 10, 1e-2, 706, 11, "0x1.180b5902ee69cp+8"),
-    ("assignment", 6, 10, 1e-4, 707, 57, "0x1.19e55f7228376p+8"),
+    ("selection", 20, 5, 1e-2, 700, 79, "0x1.3ddfabfcd6dc1p+7"),
+    ("selection", 20, 5, 1e-4, 701, 37, "0x1.a80c231152dddp+7"),
+    ("selection", 20, 10, 1e-2, 702, 43, "0x1.0500d5cdbf7d8p+8"),
+    ("selection", 20, 10, 1e-4, 703, 233, "0x1.f6bca22120762p+7"),
+    ("assignment", 6, 5, 1e-2, 704, 17, "0x1.b4abadfd44fa3p+7"),
+    ("assignment", 6, 5, 1e-4, 705, 25, "0x1.02df2c1fc6b0ep+8"),
+    ("assignment", 6, 10, 1e-2, 706, 17, "0x1.180b5902ee69cp+8"),
+    ("assignment", 6, 10, 1e-4, 707, 45, "0x1.19e55f7228376p+8"),
 ]
 
 
 class TestBranchAndBound:
-    @pytest.mark.parametrize("kind, size, k, alpha, seed, nodes, objective", _BB_PINS)
+    @pytest.mark.parametrize(
+        "kind, size, k, alpha, seed, nodes, objective", _BB_PINS,
+        ids=[f"{kind}-{size}-{k}-{alpha}-{seed}" for kind, size, k, alpha, seed, *_ in _BB_PINS],
+    )
     def test_search_is_pinned(self, kind, size, k, alpha, seed, nodes, objective):
         inst = gen_instance(kind, size, k, alpha, seed, q=5 if kind == "selection" else None)
         res = exact_bb(inst)
@@ -186,6 +193,21 @@ class TestBranchAndBound:
         for _ in range(60):
             inst = random_instance(rng, "selection", 12, 5, q=3)
             assert exact_bb(inst).objective == brute_force(inst).objective
+
+    def test_matches_brute_force_on_scaled_fractional_costs(self):
+        # The pruning margin 1e-12 * max(1, |best|) and the early Frank-Wolfe
+        # stop must never cut off the optimum, whatever the scale of the costs.
+        rng = np.random.RandomState(12)
+        for i in range(300):
+            n, k = rng.randint(12, 17), (2, 5, 10)[i % 3]
+            numer = rng.randint(1, 101, size=k)
+            inst = ScenarioInstance(
+                rng.random((k, n)) * 100.0 * 10.0 ** rng.uniform(-6, 6),
+                numer / numer.sum(),
+                generate_weights(10.0 ** rng.uniform(-4, -1), k),
+                Selection(q=n // 4),
+            )
+            assert exact_bb(inst).objective == brute_force(inst).objective, i
 
     def test_matches_brute_force_assignment(self):
         rng = np.random.RandomState(6)
@@ -244,7 +266,7 @@ class TestBranchAndBound:
             ctx = _BBContext(inst)
             e1, e2 = rng.choice(8, size=2, replace=False).tolist()
             fix = PartialFixing(frozenset({e1}), frozenset({e2}))
-            bound, *_ = ctx.node_bound(fix, np.inf)
+            bound, *_, warm = ctx.node_bound(fix, np.inf)
             completions = [
                 wowa_value(inst, Solution((e1,) + rest))
                 for rest in itertools.combinations(
@@ -252,3 +274,16 @@ class TestBranchAndBound:
                 )
             ]
             assert bound <= min(completions) + TOL
+            # a child warm-started from that state still gets a valid bound
+            e3 = int(rng.choice([i for i in range(8) if i not in (e1, e2)]))
+            child = PartialFixing(fix.forced_in | {e3}, fix.forced_out)
+            child_bound, *_, (w, _) = ctx.node_bound(child, np.inf, warm)
+            child_completions = [
+                wowa_value(inst, Solution((e1, e3) + rest))
+                for rest in itertools.combinations(
+                    [i for i in range(8) if i not in (e1, e2, e3)], 1
+                )
+            ]
+            assert child_bound <= min(child_completions) + TOL
+            assert np.all(w >= 0.0)
+            assert abs(w.sum() - 1.0) <= SUM_TOL
