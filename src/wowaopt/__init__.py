@@ -30,14 +30,7 @@ from .base_solvers import (
     solve_selection,
     solve_with_costs,
 )
-from .exact import (
-    ExactResult,
-    brute_force,
-    compute_Lj,
-    exact_bb,
-    search_space_size,
-    wowa_via_decomposition,
-)
+from .exact import ExactResult, brute_force, exact_bb, search_space_size
 from .experiments import (
     BenchmarkRecord,
     CellSummary,
@@ -50,7 +43,15 @@ from .experiments import (
     summaries_to_csv,
     summarize,
 )
-from .mip import MipModel, build_mip, export_lp, greedy_dual_point, objective_at
+from .mip import (
+    MipModel,
+    build_mip,
+    compute_Lj,
+    export_lp,
+    greedy_dual_point,
+    objective_at,
+    wowa_via_decomposition,
+)
 from .model import (
     Assignment,
     Explicit,

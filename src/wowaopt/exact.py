@@ -1,4 +1,4 @@
-"""Exact WOWA minimization: tail integrals, brute force, branch-and-bound.
+"""Exact WOWA minimization: brute force and branch-and-bound.
 
 The branch-and-bound is self-contained (no external MIP solver).  Its node
 relaxation runs Frank-Wolfe, warm-started from the parent, over weight
@@ -26,8 +26,6 @@ from .model import ScenarioInstance, scenario_costs
 
 __all__ = [
     "ExactResult",
-    "compute_Lj",
-    "wowa_via_decomposition",
     "brute_force",
     "exact_bb",
     "search_space_size",
@@ -43,42 +41,6 @@ class ExactResult:
     node_count: int
     proof_status: str  # "optimal" or "time_limit"
     optimal_is_pareto: Optional[bool] = None
-
-
-def _greedy_tail_integral(a: np.ndarray, p: np.ndarray, budget: float) -> float:
-    # Fill [0, budget] with probability mass taken from the largest costs
-    # down; equivalent to the LP max{sum z_k a_k : sum z_k = budget,
-    # 0 <= z_k <= p_k}.
-    order = np.argsort(-a, kind="stable")
-    total = 0.0
-    remaining = budget
-    for idx in order:
-        take = p[idx] if p[idx] < remaining else remaining
-        total += take * a[idx]
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return float(total)
-
-
-def compute_Lj(inst: ScenarioInstance, sol: Solution, j: int, check: bool = True) -> float:
-    """Integral of the nonincreasing cost rearrangement over [0, j/K], j in 1..K."""
-    if not 1 <= j <= inst.K:
-        raise ValueError(f"j must be in 1..{inst.K}, got {j}")
-    a = scenario_costs(inst, sol, check=check)
-    return _greedy_tail_integral(a, inst.p.as_array(), j / inst.K)
-
-
-def wowa_via_decomposition(inst: ScenarioInstance, sol: Solution, check: bool = True) -> float:
-    """WOWA via K * sum_j (v_j - v_{j+1}) * L_j; equals wowa_value to 1e-9."""
-    a = scenario_costs(inst, sol, check=check)
-    p = inst.p.as_array()
-    v = inst.v.as_array()
-    vprime = v - np.concatenate((v[1:], [0.0]))
-    total = 0.0
-    for j in range(1, inst.K + 1):
-        total += vprime[j - 1] * _greedy_tail_integral(a, p, j / inst.K)
-    return inst.K * total
 
 
 def search_space_size(inst: ScenarioInstance) -> int:
@@ -98,11 +60,7 @@ def _batched_cost_vectors(inst: ScenarioInstance, subsets: list[tuple[int, ...]]
     if len(sizes) == 1 and sizes != {0}:
         idx = np.asarray(subsets, dtype=int)
         return inst.costs[:, idx].sum(axis=2)
-    out = np.zeros((inst.K, len(subsets)))
-    for s, sub in enumerate(subsets):
-        if sub:
-            out[:, s] = inst.costs[:, list(sub)].sum(axis=1)
-    return out
+    return np.column_stack([scenario_costs(inst, Solution(s), check=False) for s in subsets])
 
 
 def brute_force(
@@ -134,7 +92,7 @@ def brute_force(
 
     pareto: Optional[bool] = None
     if check_pareto:
-        best_costs = inst.costs[:, list(best_sub)].sum(axis=1) if best_sub else np.zeros(inst.K)
+        best_costs = scenario_costs(inst, Solution(best_sub), check=False)
 
         def dominated(chunk) -> bool:
             A = _batched_cost_vectors(inst, chunk)

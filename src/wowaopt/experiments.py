@@ -24,7 +24,9 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +34,7 @@ from .aggregation import WeightVector, generate_weights
 from .approx import approx_solve
 from .exact import brute_force, exact_bb
 from .mip import build_mip, export_lp
-from .model import Assignment, ScenarioInstance, Selection
+from .model import Assignment, ScenarioInstance, Selection, _json_int
 
 __all__ = [
     "SplitMix64",
@@ -153,34 +155,70 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """Config from parsed JSON; a value of the wrong JSON type is rejected, not coerced."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
-        fields = {
-            "K": "k_values",
-            "alpha": "alphas",
-            "instances": "instances",
-            "seed": "seed",
-            "time_limit": "time_limit",
-            "method": "method",
-            "lp_dir": "lp_dir",
-        }
-        unknown = sorted(set(doc) - set(fields) - {"kind", "size", "n", "m"})
+        unknown = sorted(set(doc) - set(_CONFIG_FIELDS) - {"size", "n", "m"})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        known = {
-            "kind": doc.get("kind"),
-            "size": doc.get("size", doc.get("n", doc.get("m"))),
-        }
-        if known["size"] is None:
+        size_key = next((key for key in ("size", "n", "m") if key in doc), None)
+        if size_key is None:
             raise ValueError("config needs 'size' (or 'n'/'m')")
-        known.update((name, doc[key]) for key, name in fields.items() if key in doc)
-        if "k_values" in known:
-            known["k_values"] = tuple(int(k) for k in known["k_values"])
-        if "alphas" in known:
-            known["alphas"] = tuple(
-                None if a in (None, "uniform") else float(a) for a in known["alphas"]
-            )
+        # a missing kind is reported by __post_init__
+        known = {"kind": None, "size": _json_int(doc[size_key], size_key)}
+        known.update((name, parse(doc[key], key))
+                     for key, (name, parse) in _CONFIG_FIELDS.items() if key in doc)
         return cls(**known)
+
+
+def _typed(types: tuple, what: str):
+    def parse(value, key: str):
+        # bool is an int subclass, so the exact type is compared
+        if type(value) not in types:
+            raise ValueError(f"{key}: expected {what}, got {value!r}")
+        return value
+    return parse
+
+
+_json_str = _typed((str,), "a JSON string")
+_json_number = _typed((int, float), "a JSON number")
+_json_list = _typed((list,), "a JSON list")
+
+
+def _k_value(value, key: str) -> int:
+    if _json_int(value, key) < 1:
+        raise ValueError(f"{key}: K must be at least 1, got {value!r}")
+    return value
+
+
+def _alpha(value, key: str) -> Optional[float]:
+    if value is None or value == "uniform":
+        return None
+    if not 0.0 < _json_number(value, key) < 1.0:
+        raise ValueError(f"{key}: alpha must be in (0, 1), null or \"uniform\", got {value!r}")
+    return float(value)
+
+
+def _each(parse):
+    def parse_list(values, key: str) -> tuple:
+        parsed = tuple(parse(x, key) for x in _json_list(values, key))
+        if len(set(parsed)) != len(parsed):  # a repeated cell would run twice
+            raise ValueError(f"{key}: repeated value in {values!r}")
+        return parsed
+    return parse_list
+
+
+# config key -> (ExperimentConfig field, parser of the JSON value)
+_CONFIG_FIELDS = {
+    "kind": ("kind", _json_str),
+    "K": ("k_values", _each(_k_value)),
+    "alpha": ("alphas", _each(_alpha)),
+    "instances": ("instances", _json_int),
+    "seed": ("seed", _json_int),
+    "time_limit": ("time_limit", _json_number),
+    "method": ("method", _json_str),
+    "lp_dir": ("lp_dir", _json_str),
+}
 
 
 RECORD_HEADER = (
@@ -327,16 +365,6 @@ def run_benchmark(
         for alpha in cfg.alphas
         for index in range(cfg.instances)
     ]
-    records: dict[tuple, BenchmarkRecord] = {}
-
-    def note_cell_done(k, alpha):
-        if progress is not None:
-            done = sum(1 for (kk, aa, _) in records if kk == k and aa == alpha)
-            if done == cfg.instances:
-                progress(
-                    f"cell kind={cfg.kind} size={cfg.size} K={k} "
-                    f"alpha={_alpha_token(alpha)}: {cfg.instances} instances done"
-                )
 
     def failure_record(k, alpha, index, exc) -> BenchmarkRecord:
         return BenchmarkRecord(
@@ -354,28 +382,22 @@ def run_benchmark(
             approx_ms=0.0,
         )
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_one, cfg, k, alpha, index): (k, alpha, index)
-                for (k, alpha, index) in tasks
-            }
-            for future, (k, alpha, index) in futures.items():
-                try:
-                    records[(k, alpha, index)] = future.result()
-                except Exception as exc:  # noqa: BLE001 - recorded, not raised
-                    records[(k, alpha, index)] = failure_record(k, alpha, index, exc)
-                note_cell_done(k, alpha)
-    else:
-        for k, alpha, index in tasks:
+    records: list[BenchmarkRecord] = []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        # one call per task, in task order: a worker's future or the work itself
+        calls = [pool.submit(_run_one, cfg, *task).result if pool else partial(_run_one, cfg, *task)
+                 for task in tasks]
+        for (k, alpha, index), call in zip(tasks, calls):
             try:
-                records[(k, alpha, index)] = _run_one(cfg, k, alpha, index)
-            except Exception as exc:  # noqa: BLE001
-                records[(k, alpha, index)] = failure_record(k, alpha, index, exc)
-            note_cell_done(k, alpha)
-
-    order = {(k, alpha, i): pos for pos, (k, alpha, i) in enumerate(tasks)}
-    return [records[key] for key in sorted(records, key=order.__getitem__)]
+                records.append(call())
+            except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                records.append(failure_record(k, alpha, index, exc))
+            if progress is not None and index == cfg.instances - 1:  # a cell's last task
+                progress(
+                    f"cell kind={cfg.kind} size={cfg.size} K={k} "
+                    f"alpha={_alpha_token(alpha)}: {cfg.instances} instances done"
+                )
+    return records
 
 
 def summarize(records: Sequence[BenchmarkRecord]) -> list[CellSummary]:

@@ -1,8 +1,10 @@
 """Mixed-integer linear model of the WOWA minimization, and its LP export.
 
 The objective linearizes the rank-dependent aggregation through the tail
-integrals L_j: minimize K * sum_j v'_j * ((j/K) * b_j + sum_i p_i * a_i_j)
-with v'_j = v_j - v_{j+1} (v_{K+1} = 0), subject to
+integrals L_j, the integrals of the nonincreasing cost rearrangement over
+[0, j/K], by WOWA = K * sum_j v'_j * L_j with v'_j = v_j - v_{j+1}
+(v_{K+1} = 0): minimize K * sum_j v'_j * ((j/K) * b_j + sum_i p_i * a_i_j)
+subject to
 b_j + a_i_j >= sum_k c_ik x_k for all scenario pairs (i, j), a_i_j >= 0,
 b_j free, plus the feasibility constraints of the problem kind.  It needs
 nonincreasing importance weights so that every v'_j is nonnegative.
@@ -25,10 +27,18 @@ __all__ = [
     "MipModel",
     "NonIncreasingWeightsError",
     "build_mip",
+    "compute_Lj",
     "export_lp",
     "greedy_dual_point",
     "objective_at",
+    "wowa_via_decomposition",
 ]
+
+
+def _vprime(inst: ScenarioInstance) -> np.ndarray:
+    """v'_j = v_j - v_{j+1} with v_{K+1} = 0."""
+    v = inst.v.as_array()
+    return v - np.concatenate((v[1:], [0.0]))
 
 
 @dataclass(frozen=True)
@@ -44,8 +54,6 @@ class MipModel:
     K: int
     kind: ProblemKind
     costs: tuple[tuple[float, ...], ...]
-    p: tuple[float, ...]
-    vprime: tuple[float, ...]
     obj_beta: tuple[float, ...]
     obj_alpha: tuple[tuple[float, ...], ...]
 
@@ -69,19 +77,14 @@ def build_mip(inst: ScenarioInstance) -> MipModel:
             "MIP construction needs nonincreasing importance weights "
             "(otherwise some objective coefficients v'_j would be negative)"
         )
-    v = inst.v.as_array()
-    p = inst.p.as_array()
-    vprime = v - np.concatenate((v[1:], [0.0]))
-    j_idx = np.arange(1, inst.K + 1)
-    obj_beta = j_idx * vprime
-    obj_alpha = inst.K * np.outer(p, vprime)
+    vprime = _vprime(inst)
+    obj_beta = np.arange(1, inst.K + 1) * vprime
+    obj_alpha = inst.K * np.outer(inst.p.as_array(), vprime)
     return MipModel(
         n=inst.n,
         K=inst.K,
         kind=inst.kind,
         costs=tuple(tuple(row) for row in inst.costs.tolist()),
-        p=tuple(p.tolist()),
-        vprime=tuple(vprime.tolist()),
         obj_beta=tuple(obj_beta.tolist()),
         obj_alpha=tuple(tuple(row) for row in obj_alpha.tolist()),
     )
@@ -162,6 +165,25 @@ def greedy_dual_point(inst: ScenarioInstance, sol: Solution, check: bool = True)
     beta = F[order[np.minimum(pos, K - 1)]]
     alpha = np.maximum(0.0, F[:, None] - beta[None, :])
     return beta, alpha
+
+
+def _tail_integrals(inst: ScenarioInstance, sol: Solution, check: bool) -> np.ndarray:
+    # By LP duality L_j = min{(j/K) * b + sum_i p_i * max(0, F_i - b)}, and
+    # greedy_dual_point's beta_j attains the minimum for every j at once.
+    beta, alpha = greedy_dual_point(inst, sol, check=check)
+    return np.arange(1, inst.K + 1) / inst.K * beta + inst.p.as_array() @ alpha
+
+
+def compute_Lj(inst: ScenarioInstance, sol: Solution, j: int, check: bool = True) -> float:
+    """Integral of the nonincreasing cost rearrangement over [0, j/K], j in 1..K."""
+    if not 1 <= j <= inst.K:
+        raise ValueError(f"j must be in 1..{inst.K}, got {j}")
+    return float(_tail_integrals(inst, sol, check)[j - 1])
+
+
+def wowa_via_decomposition(inst: ScenarioInstance, sol: Solution, check: bool = True) -> float:
+    """WOWA via K * sum_j (v_j - v_{j+1}) * L_j; equals wowa_value to 1e-9."""
+    return inst.K * float(_vprime(inst) @ _tail_integrals(inst, sol, check))
 
 
 def objective_at(model: MipModel, beta, alpha) -> float:

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from . import base_solvers
-from .aggregation import ProbabilityVector, SUM_TOL, WeightVector, rank_weights, wowa_batch
+from .aggregation import ProbabilityVector, WeightVector, rank_weights, wowa_batch
 from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
 
 __all__ = [
@@ -281,12 +281,10 @@ class ScenarioInstance:
             problems = validate(self)
             if problems:
                 raise InstanceFormatError("; ".join(problems))
-            self._p = self._p or ProbabilityVector(self.p_raw)
-            self._v = self._v or WeightVector(self.v_raw)
-            # raw mirrors the normalized values so equality and round-trips
-            # are exact for valid instances
-            self.p_raw = tuple(self._p.values)
-            self.v_raw = tuple(self._v.values)
+            # raw mirrors the normalized values (validate has built both
+            # vectors) so equality and round-trips are exact for valid instances
+            self.p_raw = self._p.values
+            self.v_raw = self._v.values
 
     @property
     def p(self) -> ProbabilityVector:
@@ -326,18 +324,13 @@ def validate(inst: ScenarioInstance) -> list[str]:
         problems.append("costs: negative entries are not allowed")
     if not np.all(np.isfinite(inst.costs)):
         problems.append("costs: non-finite entries")
-    if len(inst.p_raw) != inst.K:
-        problems.append(f"p: has {len(inst.p_raw)} entries, expected K={inst.K}")
-    if any(x <= 0.0 for x in inst.p_raw):
-        problems.append("p: probabilities must be strictly positive")
-    elif abs(sum(inst.p_raw) - 1.0) > SUM_TOL:
-        problems.append(f"p: must sum to 1, got {sum(inst.p_raw)!r}")
-    if len(inst.v_raw) != inst.K:
-        problems.append(f"v: has {len(inst.v_raw)} entries, expected K={inst.K}")
-    if any(not 0.0 <= x <= 1.0 + SUM_TOL for x in inst.v_raw):
-        problems.append("v: components must lie in [0, 1]")
-    elif abs(sum(inst.v_raw) - 1.0) > SUM_TOL:
-        problems.append(f"v: must sum to 1, got {sum(inst.v_raw)!r}")
+    for name, raw in (("p", inst.p_raw), ("v", inst.v_raw)):
+        if len(raw) != inst.K:
+            problems.append(f"{name}: has {len(raw)} entries, expected K={inst.K}")
+        try:
+            getattr(inst, name)  # the vector type's own rules; built once, then cached
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
     problems += inst.kind.problems(inst.n)
     return problems
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -403,3 +404,32 @@ def test_wowa_batch_values_do_not_depend_on_batch_width(inputs):
     for width in (2, 7, 2048):
         values = np.concatenate([wowa_batch(A[:, s:s + width], v, p) for s in range(0, 2048, width)])
         assert [x.hex() for x in values.tolist()] == expected
+
+
+@st.composite
+def _scaled_cost_inputs(draw):
+    # costs 10^U(-6, 9), generated (nonincreasing) weights, K <= 6
+    k = draw(st.integers(1, 6))
+    a = 10.0 ** np.array(draw(st.lists(st.floats(-6.0, 9.0), min_size=k, max_size=k)))
+    p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    v = generate_weights(draw(st.floats(1e-6, 1.0 - 1e-6)), k)
+    return a, v, ProbabilityVector(p / p.sum())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scaled_cost_inputs())
+def test_wowa_scales_by_powers_of_two_bit_for_bit(inputs):
+    a, v, p = inputs
+    value = wowa(a, v, p)
+    for k in (-20, -1, 1, 30):
+        assert wowa(2.0**k * a, v, p) == 2.0**k * value
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scaled_cost_inputs())
+def test_every_permutation_bounds_wowa_from_below_at_scale(inputs):
+    a, v, p = inputs
+    k = a.size
+    ceiling = wowa(a, v, p) + k * 2.0**-52 * a.max()
+    for pi in itertools.permutations(range(k)):
+        assert f_pi(a, v, p, pi) <= ceiling

@@ -219,7 +219,28 @@ class TestBench:
     @pytest.mark.parametrize("cfg, named", [
         ({"kind": "selection", "size": 5, "q_fraction": 0.5}, "q_fraction"),
         ([1], "JSON object"),
-    ], ids=["unknown-key", "not-an-object"])
+        ({"kind": "selection", "size": 5, "K": [2.9]}, "K:"),
+        ({"kind": "selection", "size": 5, "K": ["2"]}, "K:"),
+        ({"kind": "selection", "size": 5, "K": [True]}, "K:"),
+        ({"kind": "selection", "size": 5, "K": [0]}, "K:"),
+        ({"kind": "selection", "size": 5, "K": 2}, "K:"),
+        ({"kind": "selection", "size": 5, "K": [2, 2]}, "K:"),
+        ({"kind": "selection", "size": 5, "alpha": [None, "uniform"]}, "alpha:"),
+        ({"kind": "selection", "size": 5, "alpha": ["0.01"]}, "alpha:"),
+        ({"kind": "selection", "size": 5, "alpha": [1.5]}, "alpha:"),
+        ({"kind": "selection", "size": 6.0}, "size:"),
+        ({"kind": "selection", "n": "6"}, "n:"),
+        ({"kind": "selection", "size": 5, "method": "bb", "time_limit": "10"}, "time_limit:"),
+        ({"kind": "selection", "size": 5, "seed": "3"}, "seed:"),
+        ({"kind": "selection", "size": 5, "seed": 1.5}, "seed:"),
+        ({"kind": "selection", "size": 5, "instances": 1.5}, "instances:"),
+        ({"kind": 1, "size": 5}, "kind:"),
+        ({"kind": "selection", "size": 5, "method": ["bb"]}, "method:"),
+        ({"kind": "selection", "size": 5, "method": "lp-only", "lp_dir": 3}, "lp_dir:"),
+    ], ids=["unknown-key", "not-an-object", "K-float", "K-string", "K-bool", "K-zero",
+            "K-not-a-list", "K-repeated", "alpha-repeated", "alpha-string",
+            "alpha-out-of-range", "size-float", "n-string", "time-limit-string", "seed-string",
+            "seed-float", "instances-float", "kind-int", "method-list", "lp-dir-int"])
     def test_rejected_config_exit_code(self, tmp_path, cfg, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

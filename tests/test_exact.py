@@ -60,9 +60,11 @@ class TestComputeLj:
 
     def test_greedy_equals_lp_vertex_enumeration(self):
         rng = np.random.RandomState(1)
-        for _ in range(80):
-            k = rng.randint(1, 6)
+        for trial in range(120):
+            k = rng.randint(1, 9)
             inst = random_instance(rng, "selection", 6, k, q=2)
+            if trial % 2:  # uniform p puts the cumulative sums exactly on the budgets j/K
+                inst = ScenarioInstance(inst.costs, ProbabilityVector.uniform(k), inst.v, inst.kind)
             sol = Solution(rng.choice(6, size=2, replace=False).tolist())
             a = scenario_costs(inst, sol).tolist()
             p = list(inst.p.values)

@@ -179,6 +179,16 @@ class TestRunBenchmark:
         assert len(lines) == 2
         assert all("cell kind=selection" in line for line in lines)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failures_become_error_records_in_task_order(self, jobs):
+        # alpha 1.5 makes gen_instance raise, in a worker process when jobs > 1
+        lines = []
+        records = run_benchmark(small_config(alphas=(1.5, 1e-2)), jobs=jobs, progress=lines.append)
+        assert [r.exact_status.startswith("error: alpha") for r in records] == [True] * 3 + [False] * 3
+        assert [(r.alpha, r.instance) for r in records] == [(1.5, 0), (1.5, 1), (1.5, 2),
+                                                            (1e-2, 0), (1e-2, 1), (1e-2, 2)]
+        assert len(lines) == 2
+
 
 class TestSummarize:
     def test_single_record(self):

@@ -190,7 +190,7 @@ class TestExportLp:
 
     def test_empty_model_rejected(self):
         model = MipModel(
-            n=0, K=1, kind=Selection(q=1), costs=((),), p=(1.0,), vprime=(1.0,),
+            n=0, K=1, kind=Selection(q=1), costs=((),),
             obj_beta=(1.0,), obj_alpha=((1.0,),),
         )
         with pytest.raises(ValueError):
@@ -199,7 +199,7 @@ class TestExportLp:
     @pytest.mark.parametrize("row", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
     def test_cost_rows_must_have_n_entries(self, row):
         model = MipModel(
-            n=3, K=1, kind=Selection(q=1), costs=(row,), p=(1.0,), vprime=(1.0,),
+            n=3, K=1, kind=Selection(q=1), costs=(row,),
             obj_beta=(1.0,), obj_alpha=((1.0,),),
         )
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from wowaopt import (
     ScenarioInstance,
     Selection,
     Solution,
+    WeightVector,
     check_feasible,
     is_feasible,
     read_instance,
@@ -155,6 +156,22 @@ class TestValidate:
         )
         problems = validate(inst)
         assert len(problems) == 1 and problems[0].startswith("p:")
+
+    def test_nan_probabilities(self):
+        inst = ScenarioInstance(
+            [[1.0, 2.0], [3.0, 4.0]], [np.nan, np.nan], [0.5, 0.5], Selection(q=1),
+            checked=False,
+        )
+        problems = validate(inst)
+        assert len(problems) == 1 and problems[0].startswith("p:")
+
+    def test_weight_rule_is_the_weight_vectors(self):
+        # within SUM_TOL of [0, 1]: WeightVector accepts and clips these
+        v = [1.0 + 5e-10, -5e-10]
+        assert WeightVector(v).values == (1.0, 0.0)
+        costs = [[1.0, 2.0], [3.0, 4.0]]
+        assert validate(ScenarioInstance(costs, [0.5, 0.5], v, Selection(q=1), checked=False)) == []
+        assert ScenarioInstance(costs, [0.5, 0.5], v, Selection(q=1)).v_raw == (1.0, 0.0)
 
     def test_assignment_needs_square(self):
         inst = ScenarioInstance(
