@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .approx import approx_solve
-from .exact import brute_force, exact_bb
+from .exact import brute_force, check_time_limit, exact_bb
 from .experiments import (
     ExperimentConfig,
     gen_instance,
@@ -43,6 +43,13 @@ EXIT_INFEASIBLE = 3
 EXIT_UNSUPPORTED = 4
 
 
+def _time_limit(text: str) -> float:
+    try:
+        return check_time_limit(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wowaopt",
@@ -65,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance")
     solve.add_argument("--in", dest="inp", required=True, help="instance path")
     solve.add_argument("--method", required=True, choices=["approx", "bb", "brute"])
-    solve.add_argument("--time-limit", type=float, default=3600.0)
+    solve.add_argument("--time-limit", type=_time_limit, default=3600.0,
+                       help="B&B seconds, positive; inf for no limit (default 3600)")
     solve.add_argument("--out", help="solution output path")
 
     ev = sub.add_parser("eval", help="evaluate a solution against an instance")

@@ -27,6 +27,7 @@ from .model import ScenarioInstance, scenario_costs
 __all__ = [
     "ExactResult",
     "brute_force",
+    "check_time_limit",
     "exact_bb",
     "search_space_size",
 ]
@@ -189,13 +190,22 @@ class _BBContext:
         return min(free, default=None)
 
 
+def check_time_limit(time_limit: float) -> float:
+    """A branch-and-bound time limit: positive seconds, math.inf for none."""
+    if not time_limit > 0:  # NaN fails the comparison too
+        raise ValueError(f"time limit must be positive seconds (inf for none), got {time_limit!r}")
+    return time_limit
+
+
 def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     """Best-first branch-and-bound; optimal on termination.
 
     Requires nonincreasing importance weights (the node relaxations are
     only valid lower bounds in that regime).  On hitting the time limit
-    the best incumbent is returned with proof_status "time_limit".
+    the best incumbent is returned with proof_status "time_limit"; a NaN
+    or nonpositive limit raises ValueError.
     """
+    check_time_limit(time_limit)
     if not inst.v.is_nonincreasing:
         raise NonIncreasingWeightsError("branch-and-bound requires nonincreasing importance weights")
 

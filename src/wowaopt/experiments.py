@@ -30,9 +30,11 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .aggregation import WeightVector, generate_weights
 from .approx import approx_solve
-from .exact import brute_force, exact_bb
+from .exact import brute_force, check_time_limit, exact_bb
 from .mip import build_mip, export_lp
 from .model import Assignment, ScenarioInstance, Selection, _json_int
 
@@ -53,6 +55,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -62,7 +65,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4B5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -73,6 +76,26 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
+
+    def randints(self, lo: int, hi: int, count: int) -> np.ndarray:
+        """The next ``count`` randint(lo, hi) draws as a uint64 array, 0 <= lo <= hi < 2**64.
+
+        The i-th state is state + i * gamma mod 2**64, so all draws are one
+        vectorized pass (uint64 arithmetic wraps mod 2**64).
+        """
+        if hi < lo:
+            raise ValueError("empty range")
+        if lo < 0 or hi > _MASK64 or count < 0:
+            raise ValueError(f"randints needs 0 <= lo <= hi < 2**64 and count >= 0, "
+                             f"got [{lo}, {hi}] and {count}")
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4B5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        if hi - lo < _MASK64:  # else the span is 2**64 and every draw is kept
+            z %= np.uint64(hi - lo + 1)
+        return z + np.uint64(lo)
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -123,10 +146,10 @@ def gen_instance(
     if k < 1:
         raise ValueError(f"K must be positive, got {k}")
     rng = SplitMix64(seed)
-    numerators = [rng.randint(1, 100) for _ in range(k)]
+    numerators = rng.randints(1, 100, k).tolist()
     total = sum(numerators)
     p = [a / total for a in numerators]
-    costs = [[float(rng.randint(0, 100)) for _ in range(n)] for _ in range(k)]
+    costs = rng.randints(0, 100, k * n).reshape(k, n).astype(float)
     v = WeightVector.uniform(k) if alpha is None else generate_weights(alpha, k)
     return ScenarioInstance(costs, p, v, problem)
 
@@ -146,12 +169,26 @@ class ExperimentConfig:
     lp_dir: Optional[str] = None
 
     def __post_init__(self):
+        # The value rules, named by config key; from_dict checks JSON types only.
         if self.kind not in ("selection", "assignment"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.method not in ("bb", "brute", "lp-only"):
             raise ValueError(f"unknown exact method {self.method!r}")
         if self.instances < 1 or self.size < 1:
             raise ValueError("instances and size must be positive")
+        for key, values in (("K", self.k_values), ("alpha", self.alphas)):
+            if len(set(values)) != len(values):  # a repeated cell would run twice
+                raise ValueError(f"{key}: repeated value in {list(values)!r}")
+        for k in self.k_values:
+            if not k >= 1:
+                raise ValueError(f"K: K must be at least 1, got {k!r}")
+        for alpha in self.alphas:
+            if alpha is not None and not 0.0 < alpha < 1.0:  # NaN is out of range too
+                raise ValueError(f"alpha: alpha must be in (0, 1), null or \"uniform\", got {alpha!r}")
+        try:
+            check_time_limit(self.time_limit)
+        except ValueError as exc:
+            raise ValueError(f"time_limit: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -185,33 +222,22 @@ _json_number = _typed((int, float), "a JSON number")
 _json_list = _typed((list,), "a JSON list")
 
 
-def _k_value(value, key: str) -> int:
-    if _json_int(value, key) < 1:
-        raise ValueError(f"{key}: K must be at least 1, got {value!r}")
-    return value
-
-
 def _alpha(value, key: str) -> Optional[float]:
     if value is None or value == "uniform":
         return None
-    if not 0.0 < _json_number(value, key) < 1.0:
-        raise ValueError(f"{key}: alpha must be in (0, 1), null or \"uniform\", got {value!r}")
-    return float(value)
+    return float(_json_number(value, key))
 
 
 def _each(parse):
     def parse_list(values, key: str) -> tuple:
-        parsed = tuple(parse(x, key) for x in _json_list(values, key))
-        if len(set(parsed)) != len(parsed):  # a repeated cell would run twice
-            raise ValueError(f"{key}: repeated value in {values!r}")
-        return parsed
+        return tuple(parse(x, key) for x in _json_list(values, key))
     return parse_list
 
 
 # config key -> (ExperimentConfig field, parser of the JSON value)
 _CONFIG_FIELDS = {
     "kind": ("kind", _json_str),
-    "K": ("k_values", _each(_k_value)),
+    "K": ("k_values", _each(_json_int)),
     "alpha": ("alphas", _each(_alpha)),
     "instances": ("instances", _json_int),
     "seed": ("seed", _json_int),

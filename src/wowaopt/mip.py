@@ -130,22 +130,42 @@ def export_lp(model: MipModel) -> str:
     lines.append(f" obj: {_terms(obj)}")
     lines.append("Subject To")
     xs = [f"x{k + 1}" for k in range(model.n)]
-    for i in range(K):
-        # Rows cost{i}_{j} share scenario i's x part.  A leading empty name makes
-        # _terms render it to follow b_j + a_i_j: all terms signed, "" if all zero.
-        x_part = _terms([(1.0, "")] + [(-c, x) for c, x in zip(model.costs[i], xs, strict=True)])
-        for j in range(K):
-            head = _terms([(1.0, f"b{j + 1}"), (1.0, f"a_{i + 1}_{j + 1}")])
-            lines.append(f" cost{i + 1}_{j + 1}: {head}{x_part} >= 0")
-    for name, terms, rhs in model.kind.lp_rows(model.n):
-        lines.append(f" {name}: {_terms(terms)} = {rhs}")
-    lines.append("Bounds")
+    out = ["\n".join(lines), "\n"]  # pieces of the text, joined once
+    for i, x_part in enumerate(_x_parts(model, xs)):
+        for j in range(K):  # rows cost{i}_{j} share scenario i's x part
+            out += (f" cost{i + 1}_{j + 1}: b{j + 1} + a_{i + 1}_{j + 1}", x_part, " >= 0\n")
+    tail = [f" {name}: {_terms(terms)} = {rhs}" for name, terms, rhs in model.kind.lp_rows(model.n)]
+    tail.append("Bounds")
     for j in range(K):
-        lines.append(f" b{j + 1} free")
-    lines.append("Binary")
-    lines.append(" " + " ".join(xs + model.kind.lp_binaries()))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        tail.append(f" b{j + 1} free")
+    tail.append("Binary")
+    tail.append(" " + " ".join(xs + model.kind.lp_binaries()))
+    tail.append("End")
+    out += ("\n".join(tail), "\n")
+    return "".join(out)
+
+
+def _x_parts(model: MipModel, xs: list[str]) -> list[str]:
+    """Each scenario's "- c x" terms as _terms renders them after b_j + a_i_j.
+
+    Every term is signed (" - c x" for c > 0, " + |c| x" for c < 0), a unit
+    coefficient is left out, a zero term is dropped, and each distinct
+    coefficient is rendered once.
+    """
+    costs = np.array(model.costs, dtype=float)  # ragged rows raise ValueError
+    if costs.shape != (model.K, model.n):
+        raise ValueError(f"costs must be {model.K} rows of n={model.n} entries")
+    rows, cols = np.nonzero(costs)
+    values, which = np.unique(costs[rows, cols], return_inverse=True)
+    prefixes = [(" - " if c > 0 else " + ") + ("" if abs(c) == 1.0 else f"{_num(abs(c))} ")
+                for c in values.tolist()]
+    # prefix and name of every term, interleaved by object-array indexing
+    pieces = np.empty(2 * len(cols), dtype=object)
+    pieces[0::2] = np.array(prefixes, dtype=object)[which]
+    pieces[1::2] = np.array(xs, dtype=object)[cols]
+    pieces = pieces.tolist()
+    ends = (2 * np.cumsum(np.bincount(rows, minlength=model.K))).tolist()
+    return ["".join(pieces[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def greedy_dual_point(inst: ScenarioInstance, sol: Solution, check: bool = True):

@@ -457,18 +457,35 @@ def read_instance(text: str) -> ScenarioInstance:
         raise InstanceFormatError(str(exc)) from None
 
 
+def _indented_numbers(values, pad: str) -> str:
+    # A list of numbers laid out as json.dumps(indent=2) does at indentation
+    # pad, with each number rendered by the compact C encoder (the same text).
+    if not values:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + json.dumps(values)[1:-1].replace(", ", "," + inner) + "\n" + pad + "]"
+
+
 def write_instance(inst: ScenarioInstance) -> str:
-    """Serialize an instance; read_instance(write_instance(x)) == x."""
-    doc = {
+    """Serialize an instance; read_instance(write_instance(x)) == x.
+
+    The text is byte for byte json.dumps(doc, indent=2) + "\\n": one number
+    per line.
+    """
+    head = json.dumps({
         "format": FORMAT_VERSION,
         "n": inst.n,
         "K": inst.K,
         "kind": {inst.kind.tag: inst.kind.to_json()},
-        "p": list(inst.p.values),
-        "v": list(inst.v.values),
-        "costs": [list(row) for row in inst.costs.tolist()],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    }, indent=2)
+    rows = ",\n    ".join(_indented_numbers(row, "    ") for row in inst.costs.tolist())
+    return "".join((
+        head[:-2],  # without the closing "\n}"
+        ',\n  "p": ', _indented_numbers(inst.p.values, "  "),
+        ',\n  "v": ', _indented_numbers(inst.v.values, "  "),
+        ',\n  "costs": ', f"[\n    {rows}\n  ]" if rows else "[]",
+        "\n}\n",
+    ))
 
 
 def read_solution(text: str) -> Solution:

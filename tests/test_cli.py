@@ -8,6 +8,7 @@ import pytest
 
 from conftest import GOLDEN
 from wowaopt import read_instance, wowa_value, read_solution
+from wowaopt.cli import main
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -118,6 +119,22 @@ class TestSolve:
         res = cli("solve", "--in", bad, "--method", "brute")
         assert res.returncode == 2
         assert "costs" in res.stderr and "Traceback" not in res.stderr
+
+
+    @pytest.mark.parametrize("limit", ["nan", "-5", "0", "ten"])
+    def test_bad_time_limit_is_usage_error(self, limit, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--in", str(GOLDEN / "paths_example.json"), "--method", "bb",
+                  "--time-limit", limit])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "argument --time-limit" in err and "value=" not in out
+
+    def test_infinite_time_limit_solves_to_optimality(self):
+        res = cli("solve", "--in", GOLDEN / "paths_example.json", "--method", "bb",
+                  "--time-limit", "inf")
+        assert res.returncode == 0, res.stderr
+        assert report_fields(res.stdout)["status"] == "optimal"
 
 
 class TestEval:
@@ -247,6 +264,16 @@ class TestBench:
         res = cli("bench", "--config", cfg_path, "--out-csv", tmp_path / "x.csv")
         assert res.returncode == 2
         assert named in res.stderr
+
+
+    @pytest.mark.parametrize("limit", [-1, 0, float("nan")], ids=["negative", "zero", "nan"])
+    def test_bad_time_limit_exit_code(self, tmp_path, limit, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "selection", "size": 5, "method": "bb",
+                                        "time_limit": limit}))  # NaN is written as NaN
+        assert main(["bench", "--config", str(cfg_path), "--out-csv", str(tmp_path / "x.csv")]) == 2
+        assert "time_limit:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_help_documents_zero_based_indices():

@@ -243,9 +243,22 @@ class TestBranchAndBound:
     def test_time_limit_returns_incumbent(self):
         rng = np.random.RandomState(9)
         inst = random_instance(rng, "selection", 30, 8, q=8, alpha_range=(-4.0, -3.5))
-        res = exact_bb(inst, time_limit=0.0)
+        res = exact_bb(inst, time_limit=1e-9)  # spent by the incumbent heuristic
         assert res.proof_status == "time_limit"
         assert res.objective == wowa_value(inst, res.solution)
+
+    @pytest.mark.parametrize("limit", [float("nan"), 0.0, -5.0, -float("inf")])
+    def test_rejects_nan_and_nonpositive_time_limits(self, limit):
+        rng = np.random.RandomState(9)
+        with pytest.raises(ValueError, match="time limit must be positive"):
+            exact_bb(random_instance(rng, "selection", 8, 3), time_limit=limit)
+
+    def test_infinite_time_limit_is_no_limit(self):
+        rng = np.random.RandomState(9)
+        inst = random_instance(rng, "selection", 10, 4, q=3)
+        res = exact_bb(inst, time_limit=float("inf"))
+        assert res.proof_status == "optimal"
+        assert res.objective == brute_force(inst).objective
 
     def test_rejects_non_monotone_weights(self):
         inst = ScenarioInstance(

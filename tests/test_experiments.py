@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,44 @@ class TestSplitMix64:
     def test_randint_rejects_empty_range(self):
         with pytest.raises(ValueError):
             SplitMix64(0).randint(5, 4)
+
+    @pytest.mark.parametrize("lo, hi", [(7, 7), (1, 100), (0, 100), (3, 3 + 2**32 - 1),
+                                        (0, 2**63 - 1), (2**63, 2**64 - 1), (0, 2**64 - 1)],
+                             ids=["span-1", "span-100", "span-101", "span-2^32", "span-2^63",
+                                  "span-2^63-high", "span-2^64"])
+    def test_randints_equal_randint_loop(self, lo, hi):
+        bulk, loop = SplitMix64(0xDEADBEEF), SplitMix64(0xDEADBEEF)
+        for count in (1, 1000, 0, 37):
+            draws = bulk.randints(lo, hi, count)
+            assert draws.tolist() == [loop.randint(lo, hi) for _ in range(count)]
+        assert bulk.next_u64() == loop.next_u64()
+
+    def test_randints_rejects_empty_range(self):
+        rng = SplitMix64(0)
+        with pytest.raises(ValueError, match="empty range"):
+            rng.randints(5, 4, 10)
+        assert rng.next_u64() == SplitMix64(0).next_u64()
+
+    def test_randints_rejects_range_outside_uint64_and_negative_count(self):
+        with pytest.raises(ValueError):
+            SplitMix64(0).randints(-1, 5, 10)
+        with pytest.raises(ValueError):
+            SplitMix64(0).randints(0, 2**64, 10)
+        with pytest.raises(ValueError):
+            SplitMix64(0).randints(0, 5, -1)
+
+    def test_randints_of_none_leaves_the_state(self):
+        rng = SplitMix64(99)
+        assert rng.randints(0, 100, 0).tolist() == []
+        assert rng.next_u64() == SplitMix64(99).next_u64()
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_randints_advance_the_state_by_count_steps(self, seed):
+        bulk, steps = SplitMix64(seed), SplitMix64(seed)
+        bulk.randints(0, 10, 12345)
+        for _ in range(12345):
+            steps.next_u64()
+        assert bulk.next_u64() == steps.next_u64()
 
 
 class TestInstanceSeed:
@@ -111,6 +151,26 @@ class TestGenInstance:
         inst = gen_instance("selection", 12, 2, 1e-2, 0, q=5)
         assert inst.kind.q == 5
 
+    # sha256 of repr((p, costs)) for each (kind, size, seed) at K=10, recorded
+    # with the draw-by-draw generator, so that the stream and the draw order
+    # cannot change unseen.
+    _PINS = {
+        ("selection", 500, 0): "fc0a7b76ee8953979d5f1857937e57f51000b1cd823b10e0bd93783933a50100",
+        ("selection", 500, 2024): "7f6241b6aa8d41510c173925dedc357d9bf89fb65c13ace7427c4afb21aa655b",
+        ("selection", 500, 2**64 - 1):
+            "2b90dfcd2ef06ddfb1f7b72877e56501037d40ab604fbd395ec010076e970cb3",
+        ("assignment", 20, 0): "2b24259be747d45d1dde02a7f2635c4639ce77e72af900e014b667f96db13813",
+        ("assignment", 20, 2024): "bac806ad558d489880273adf3f0f8f12a76dc9bc7a43859c70c79eb572930fb1",
+        ("assignment", 20, 2**64 - 1):
+            "ceefc3de00bb4e2d02894583f1ea805adcaccbcde083cd1a09cd7547004257ea",
+    }
+
+    @pytest.mark.parametrize("kind, size, seed", sorted(_PINS))
+    def test_draws_are_pinned(self, kind, size, seed):
+        inst = gen_instance(kind, size, 10, 1e-2, seed)
+        text = repr((inst.p.values, inst.costs.tolist()))
+        assert hashlib.sha256(text.encode()).hexdigest() == self._PINS[kind, size, seed]
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gen_instance("spanning-tree", 5, 2, 1e-2, 0)
@@ -121,6 +181,43 @@ def small_config(**overrides) -> ExperimentConfig:
                 instances=3, seed=5, method="brute")
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("field, value, named", [
+        ("k_values", (0,), "K:"),
+        ("k_values", (2, -1), "K:"),
+        ("k_values", (2, 2), "K:"),
+        ("alphas", (1.5,), "alpha:"),
+        ("alphas", (0.0,), "alpha:"),
+        ("alphas", (1.0,), "alpha:"),
+        ("alphas", (float("nan"),), "alpha:"),
+        ("alphas", (None, None), "alpha:"),
+        ("time_limit", -1.0, "time_limit:"),
+        ("time_limit", 0.0, "time_limit:"),
+        ("time_limit", float("nan"), "time_limit:"),
+        ("instances", 0, "instances"),
+        ("size", 0, "size"),
+        ("kind", "tree", "kind"),
+        ("method", "milp", "method"),
+    ])
+    def test_direct_construction_applies_the_value_rules(self, field, value, named):
+        with pytest.raises(ValueError, match=named):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("K", [0]), ("K", [2, 2]), ("alpha", [1.5]), ("alpha", [None, "uniform"]),
+        ("time_limit", -1), ("time_limit", 0),
+    ])
+    def test_from_dict_applies_the_same_rules(self, field, value):
+        doc = {"kind": "selection", "size": 10, field: value}
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_infinite_time_limit_is_accepted(self):
+        assert small_config(time_limit=float("inf")).time_limit == float("inf")
+        assert ExperimentConfig.from_dict(
+            {"kind": "selection", "size": 10, "time_limit": float("inf")}).time_limit == float("inf")
 
 
 class TestRunBenchmark:
@@ -181,9 +278,12 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failures_become_error_records_in_task_order(self, jobs):
-        # alpha 1.5 makes gen_instance raise, in a worker process when jobs > 1
+        # alpha 1.5 makes gen_instance raise, in a worker process when jobs > 1;
+        # the config's own rules reject it, so it is set past them
+        cfg = small_config(alphas=(0.5, 1e-2))
+        object.__setattr__(cfg, "alphas", (1.5, 1e-2))
         lines = []
-        records = run_benchmark(small_config(alphas=(1.5, 1e-2)), jobs=jobs, progress=lines.append)
+        records = run_benchmark(cfg, jobs=jobs, progress=lines.append)
         assert [r.exact_status.startswith("error: alpha") for r in records] == [True] * 3 + [False] * 3
         assert [(r.alpha, r.instance) for r in records] == [(1.5, 0), (1.5, 1), (1.5, 2),
                                                             (1e-2, 0), (1e-2, 1), (1e-2, 2)]

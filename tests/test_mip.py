@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN, random_instance
 from wowaopt import (
@@ -25,6 +26,7 @@ from wowaopt import (
     scenario_costs,
     wowa_value,
 )
+from wowaopt.mip import _terms
 
 TOL = 1e-9
 
@@ -204,6 +206,34 @@ class TestExportLp:
         )
         with pytest.raises(ValueError):
             export_lp(model)
+
+
+def _coupling_rows_by_terms(model):
+    """Reference coupling rows: every cost term rendered by _terms, one row at a time."""
+    xs = [f"x{k + 1}" for k in range(model.n)]
+    for i in range(model.K):
+        x_part = _terms([(1.0, "")] + [(-c, x) for c, x in zip(model.costs[i], xs)])
+        for j in range(model.K):
+            head = _terms([(1.0, f"b{j + 1}"), (1.0, f"a_{i + 1}_{j + 1}")])
+            yield f" cost{i + 1}_{j + 1}: {head}{x_part} >= 0"
+
+
+# Zero, signed zero, unit and the _num switch from integer to repr at 1e15,
+# with their negatives (a MipModel built by hand need not be checked).
+_EDGE_COEFS = [0.0, -0.0, 1.0, -1.0, 5e-324, 0.1, 2.5, 1e15 - 1, 1e15, 1e16, 1e22, 123456.789]
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.integers(1, 15).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.sampled_from(_EDGE_COEFS).flatmap(lambda c: st.sampled_from([c, -c])),
+                       st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)),
+             min_size=n, max_size=n), min_size=k, max_size=k))))
+def test_coupling_rows_equal_term_by_term_rendering(costs):
+    k, n = len(costs), len(costs[0])
+    model = MipModel(n=n, K=k, kind=Selection(q=1), costs=tuple(map(tuple, costs)),
+                     obj_beta=(1.0,) * k, obj_alpha=((1.0,) * k,) * k)
+    rows = [line for line in export_lp(model).splitlines() if line.startswith(" cost")]
+    assert rows == list(_coupling_rows_by_terms(model))
 
 
 def _dual_point_by_loop(inst, sol):

@@ -1,12 +1,15 @@
 import copy
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PATHS_COSTS, PATHS_P, PATHS_FEASIBLE, PATHS_V
 from oracles import ref_wowa
+from test_mip import _pinned_lp_instances
 from wowaopt import (
     Assignment,
     Explicit,
@@ -18,6 +21,8 @@ from wowaopt import (
     Solution,
     WeightVector,
     check_feasible,
+    gen_instance,
+    generate_weights,
     is_feasible,
     read_instance,
     read_solution,
@@ -340,3 +345,79 @@ def test_kind_methods_agree_with_enumeration(kind, n):
 def test_instances_expose_immutable_costs(paths_instance):
     with pytest.raises(ValueError):
         paths_instance.costs[0, 0] = 99.0
+
+
+# sha256 of write_instance at benchmark scale and for two pinned LP instances
+# (fractional costs; K=1), recorded with the json.dumps(doc, indent=2) writer,
+# so that no writer can change the file bytes unseen.
+_WRITE_SHA256 = {
+    "selection-5000": (lambda: gen_instance("selection", 5000, 10, 1e-2, 7),
+                       "57169c15a1e3d52ba468a54af9a665453dc85200c28428b700b9d88f6dce40fd"),
+    "assignment-60": (lambda: gen_instance("assignment", 60, 10, 1e-4, 7),
+                      "c1f66a32e659a62cea0b7e4346699726329786bf08f28e22a1f1c74d2c8f11c6"),
+    "explicit": (lambda: _pinned_lp_instances()["explicit"],
+                 "514e8e32eb677a265957e32a14c3427f3447c7e8a9fbf38677a7118d9b1499ce"),
+    "k1": (lambda: _pinned_lp_instances()["k1"],
+           "fbe67c5b8f1413238d9980b2f930f03a19c6fb6a850fce00601733c4cd949303"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITE_SHA256))
+def test_write_instance_bytes_are_pinned(name):
+    build, digest = _WRITE_SHA256[name]
+    assert hashlib.sha256(write_instance(build()).encode()).hexdigest() == digest
+
+
+def _dumps_reference(inst: ScenarioInstance) -> str:
+    """The instance document as json.dumps(doc, indent=2) lays it out."""
+    doc = {
+        "format": 1,
+        "n": inst.n,
+        "K": inst.K,
+        "kind": {inst.kind.tag: inst.kind.to_json()},
+        "p": list(inst.p.values),
+        "v": list(inst.v.values),
+        "costs": [list(row) for row in inst.costs.tolist()],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_EDGE_COSTS = [0.0, -0.0, 5e-324, 0.1, 1.0, 1e15, 1e16, 1e22, 123456.789]
+
+
+@st.composite
+def _instances(draw):
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["selection", "assignment", "explicit"]))
+    n = m * m if kind == "assignment" else draw(st.integers(1, 12))
+    cost = st.one_of(st.sampled_from(_EDGE_COSTS),
+                     st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False))
+    costs = draw(st.lists(st.lists(cost, min_size=n, max_size=n), min_size=k, max_size=k))
+    numerators = draw(st.lists(st.integers(1, 100), min_size=k, max_size=k))
+    p = [a / sum(numerators) for a in numerators]
+    v = generate_weights(draw(st.floats(1e-6, 0.999)), k)
+    if kind == "selection":
+        problem = Selection(q=draw(st.integers(1, n)))
+    elif kind == "assignment":
+        problem = Assignment(m=m)
+    else:
+        problem = Explicit(tuple(draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+            .map(lambda s: tuple(sorted(s))), min_size=1, max_size=4, unique=True))))
+    return ScenarioInstance(costs, p, v, problem)
+
+
+@settings(deadline=None)
+@given(_instances())
+def test_write_instance_equals_indented_json_dumps(inst):
+    assert write_instance(inst) == _dumps_reference(inst)
+    assert read_instance(write_instance(inst)) == inst
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from([float("nan"), float("inf"), -1.0, 2.5, -0.0]),
+                min_size=1, max_size=6))
+def test_write_instance_of_unchecked_costs_equals_json_dumps(row):
+    inst = ScenarioInstance([row], [1.0], [1.0], Selection(q=1), checked=False)
+    assert write_instance(inst) == _dumps_reference(inst)
