@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+BRUTE_FORCE_LIMIT = 10**6  # the largest search space brute_force enumerates
 
 
 @dataclass(frozen=True)
@@ -64,21 +65,17 @@ def _batched_cost_vectors(inst: ScenarioInstance, subsets: list[tuple[int, ...]]
     return np.column_stack([scenario_costs(inst, Solution(s), check=False) for s in subsets])
 
 
-def brute_force(
-    inst: ScenarioInstance,
-    check_pareto: bool = False,
-    space_limit: int = 10**6,
-) -> ExactResult:
+def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResult:
     """Global minimum by exhaustive enumeration (oracle-grade, small instances).
 
-    Refuses search spaces larger than ``space_limit``.  With
+    Refuses search spaces larger than ``BRUTE_FORCE_LIMIT``.  With
     ``check_pareto`` the returned solution is additionally tested for
     Pareto efficiency against every enumerated cost vector.
     """
     size = search_space_size(inst)
-    if size > space_limit:
+    if size > BRUTE_FORCE_LIMIT:
         raise ValueError(
-            f"search space has {size} solutions, exceeding the limit of {space_limit}"
+            f"search space has {size} solutions, exceeding the limit of {BRUTE_FORCE_LIMIT}"
         )
     best_val = np.inf
     best_sub: Optional[tuple[int, ...]] = None

@@ -174,6 +174,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.method not in ("bb", "brute", "lp-only"):
             raise ValueError(f"unknown exact method {self.method!r}")
+        if self.lp_dir is not None and self.method != "lp-only":
+            raise ValueError(f"lp_dir: only method lp-only writes LP files, got {self.method!r}")
         if self.instances < 1 or self.size < 1:
             raise ValueError("instances and size must be positive")
         for key, values in (("K", self.k_values), ("alpha", self.alphas)):

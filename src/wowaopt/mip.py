@@ -41,21 +41,22 @@ def _vprime(inst: ScenarioInstance) -> np.ndarray:
     return v - np.concatenate((v[1:], [0.0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MipModel:
     """Coefficient view of the model; all arrays are indexed 0-based.
 
     obj_beta[j] multiplies b_{j+1} and equals (j+1) * v'_{j+1}; note that
     K * v'_j * (j/K) collapses to j * v'_j.  obj_alpha[i, j] multiplies
-    a_{i+1}_{j+1} and equals K * v'_{j+1} * p_{i+1}.
+    a_{i+1}_{j+1} and equals K * v'_{j+1} * p_{i+1}.  build_mip stores
+    read-only arrays and shares the instance's cost matrix.
     """
 
     n: int
     K: int
     kind: ProblemKind
-    costs: tuple[tuple[float, ...], ...]
-    obj_beta: tuple[float, ...]
-    obj_alpha: tuple[tuple[float, ...], ...]
+    costs: np.ndarray
+    obj_beta: np.ndarray
+    obj_alpha: np.ndarray
 
     @property
     def num_binary(self) -> int:
@@ -80,14 +81,9 @@ def build_mip(inst: ScenarioInstance) -> MipModel:
     vprime = _vprime(inst)
     obj_beta = np.arange(1, inst.K + 1) * vprime
     obj_alpha = inst.K * np.outer(inst.p.as_array(), vprime)
-    return MipModel(
-        n=inst.n,
-        K=inst.K,
-        kind=inst.kind,
-        costs=tuple(tuple(row) for row in inst.costs.tolist()),
-        obj_beta=tuple(obj_beta.tolist()),
-        obj_alpha=tuple(tuple(row) for row in obj_alpha.tolist()),
-    )
+    obj_beta.flags.writeable = obj_alpha.flags.writeable = False
+    return MipModel(n=inst.n, K=inst.K, kind=inst.kind, costs=inst.costs,
+                    obj_beta=obj_beta, obj_alpha=obj_alpha)
 
 
 def _num(x: float) -> str:
@@ -97,78 +93,68 @@ def _num(x: float) -> str:
     return repr(x)
 
 
-def _terms(pairs) -> str:
-    """Render [(coef, name), ...] as 'c1 n1 + c2 n2 - c3 n3 ...'."""
-    parts: list[str] = []
-    for coef, name in pairs:
-        if coef == 0.0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        term = name if mag == 1.0 else f"{_num(mag)} {name}"
-        if not parts:
-            parts.append(f"- {term}" if sign == "-" else term)
-        else:
-            parts.append(f"{sign} {term}")
-    if not parts:
-        return f"0 {pairs[0][1]}" if pairs else "0"
-    return " ".join(parts)
+def _signed_rows(coefs, names, lengths: list[int]) -> list[str]:
+    """Each row's terms as " + c x" / " - c x", rows taken in order of lengths.
+
+    A zero term is dropped and a unit coefficient left out.  Each distinct
+    coefficient is rendered once and interleaved with the names through
+    object arrays.
+    """
+    keep = coefs != 0.0
+    values, which = np.unique(coefs[keep], return_inverse=True)
+    prefixes = [(" - " if c < 0 else " + ") + ("" if abs(c) == 1.0 else f"{_num(abs(c))} ")
+                for c in values.tolist()]
+    pieces = np.empty(2 * len(which), dtype=object)
+    pieces[0::2] = np.array(prefixes, dtype=object)[which]
+    pieces[1::2] = names[keep]
+    pieces = pieces.tolist()
+    kept = np.concatenate(([0], np.cumsum(keep)))  # kept terms before each position
+    cuts = (2 * kept[np.cumsum([0] + lengths)]).tolist()
+    return ["".join(pieces[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _lead(signed: str, first: str | None) -> str:
+    """A row's signed terms as it starts: "c x - d y"; "0 first" if all are zero, "0" if none."""
+    if signed:
+        return signed[3:] if signed[1] == "+" else "- " + signed[3:]
+    return "0" if first is None else f"0 {first}"
 
 
 def export_lp(model: MipModel) -> str:
     """Deterministic LP-format text for the model."""
-    if model.n < 1:
+    n, K = model.n, model.K
+    if n < 1:
         raise ValueError("cannot export a model with no elements")
-    K = model.K
-    lines = ["\\ wowaopt model export", "Minimize"]
-    obj = []
-    for j in range(K):
-        obj.append((model.obj_beta[j], f"b{j + 1}"))
-    for i in range(K):
-        for j in range(K):
-            obj.append((model.obj_alpha[i][j], f"a_{i + 1}_{j + 1}"))
-    lines.append(f" obj: {_terms(obj)}")
-    lines.append("Subject To")
-    xs = [f"x{k + 1}" for k in range(model.n)]
-    out = ["\n".join(lines), "\n"]  # pieces of the text, joined once
-    for i, x_part in enumerate(_x_parts(model, xs)):
+    costs = np.asarray(model.costs, dtype=float)  # ragged rows raise ValueError
+    if costs.shape != (K, n):
+        raise ValueError(f"costs must be {K} rows of n={n} entries")
+    xs = [f"x{k + 1}" for k in range(n)]
+    obj = [f"b{j + 1}" for j in range(K)]
+    obj += [f"a_{i + 1}_{j + 1}" for i in range(K) for j in range(K)]
+    kind_rows = model.kind.lp_rows(n)
+    terms = [term for _, row, _ in kind_rows for term in row]
+    # One pass renders the objective, each scenario's x part (its negated
+    # costs, which continue the rows cost{i}_{j} after b_j + a_i_j) and the
+    # kind's rows.
+    texts = _signed_rows(
+        np.concatenate((model.obj_beta, np.ravel(model.obj_alpha), -costs.ravel(),
+                        [c for c, _ in terms]), dtype=float),
+        np.array(obj + xs * K + [name for _, name in terms], dtype=object),
+        [len(obj)] + [n] * K + [len(row) for _, row, _ in kind_rows],
+    )
+    out = [f"\\ wowaopt model export\nMinimize\n obj: {_lead(texts[0], obj[0] if K else None)}\n"
+           "Subject To\n"]  # pieces of the text, joined once
+    for i, x_part in enumerate(texts[1:K + 1]):
         for j in range(K):  # rows cost{i}_{j} share scenario i's x part
             out += (f" cost{i + 1}_{j + 1}: b{j + 1} + a_{i + 1}_{j + 1}", x_part, " >= 0\n")
-    tail = [f" {name}: {_terms(terms)} = {rhs}" for name, terms, rhs in model.kind.lp_rows(model.n)]
-    tail.append("Bounds")
-    for j in range(K):
-        tail.append(f" b{j + 1} free")
-    tail.append("Binary")
-    tail.append(" " + " ".join(xs + model.kind.lp_binaries()))
-    tail.append("End")
-    out += ("\n".join(tail), "\n")
+    out += [f" {name}: {_lead(text, row[0][1] if row else None)} = {rhs}\n"
+            for (name, row, rhs), text in zip(kind_rows, texts[K + 1:])]
+    out += ["Bounds\n", *(f" b{j + 1} free\n" for j in range(K)), "Binary\n",
+            " ".join(["", *xs, *model.kind.lp_binaries()]), "\nEnd\n"]
     return "".join(out)
 
 
-def _x_parts(model: MipModel, xs: list[str]) -> list[str]:
-    """Each scenario's "- c x" terms as _terms renders them after b_j + a_i_j.
-
-    Every term is signed (" - c x" for c > 0, " + |c| x" for c < 0), a unit
-    coefficient is left out, a zero term is dropped, and each distinct
-    coefficient is rendered once.
-    """
-    costs = np.array(model.costs, dtype=float)  # ragged rows raise ValueError
-    if costs.shape != (model.K, model.n):
-        raise ValueError(f"costs must be {model.K} rows of n={model.n} entries")
-    rows, cols = np.nonzero(costs)
-    values, which = np.unique(costs[rows, cols], return_inverse=True)
-    prefixes = [(" - " if c > 0 else " + ") + ("" if abs(c) == 1.0 else f"{_num(abs(c))} ")
-                for c in values.tolist()]
-    # prefix and name of every term, interleaved by object-array indexing
-    pieces = np.empty(2 * len(cols), dtype=object)
-    pieces[0::2] = np.array(prefixes, dtype=object)[which]
-    pieces[1::2] = np.array(xs, dtype=object)[cols]
-    pieces = pieces.tolist()
-    ends = (2 * np.cumsum(np.bincount(rows, minlength=model.K))).tolist()
-    return ["".join(pieces[a:b]) for a, b in zip([0] + ends, ends)]
-
-
-def greedy_dual_point(inst: ScenarioInstance, sol: Solution, check: bool = True):
+def greedy_dual_point(inst: ScenarioInstance, sol: Solution):
     """Optimal (beta, alpha) for a fixed solution, from the greedy structure.
 
     beta_j is the solution cost straddling the probability budget j/K in
@@ -176,7 +162,7 @@ def greedy_dual_point(inst: ScenarioInstance, sol: Solution, check: bool = True)
     Plugging these into the objective reproduces the WOWA value exactly,
     which is how the exported model is verified without an external solver.
     """
-    F = scenario_costs(inst, sol, check=check)
+    F = scenario_costs(inst, sol)
     p = inst.p.as_array()
     order = np.argsort(-F, kind="stable")
     cum = np.cumsum(p[order])
@@ -187,29 +173,26 @@ def greedy_dual_point(inst: ScenarioInstance, sol: Solution, check: bool = True)
     return beta, alpha
 
 
-def _tail_integrals(inst: ScenarioInstance, sol: Solution, check: bool) -> np.ndarray:
+def _tail_integrals(inst: ScenarioInstance, sol: Solution) -> np.ndarray:
     # By LP duality L_j = min{(j/K) * b + sum_i p_i * max(0, F_i - b)}, and
     # greedy_dual_point's beta_j attains the minimum for every j at once.
-    beta, alpha = greedy_dual_point(inst, sol, check=check)
+    beta, alpha = greedy_dual_point(inst, sol)
     return np.arange(1, inst.K + 1) / inst.K * beta + inst.p.as_array() @ alpha
 
 
-def compute_Lj(inst: ScenarioInstance, sol: Solution, j: int, check: bool = True) -> float:
+def compute_Lj(inst: ScenarioInstance, sol: Solution, j: int) -> float:
     """Integral of the nonincreasing cost rearrangement over [0, j/K], j in 1..K."""
     if not 1 <= j <= inst.K:
         raise ValueError(f"j must be in 1..{inst.K}, got {j}")
-    return float(_tail_integrals(inst, sol, check)[j - 1])
+    return float(_tail_integrals(inst, sol)[j - 1])
 
 
-def wowa_via_decomposition(inst: ScenarioInstance, sol: Solution, check: bool = True) -> float:
+def wowa_via_decomposition(inst: ScenarioInstance, sol: Solution) -> float:
     """WOWA via K * sum_j (v_j - v_{j+1}) * L_j; equals wowa_value to 1e-9."""
-    return inst.K * float(_vprime(inst) @ _tail_integrals(inst, sol, check))
+    return inst.K * float(_vprime(inst) @ _tail_integrals(inst, sol))
 
 
 def objective_at(model: MipModel, beta, alpha) -> float:
     """Objective value at explicit (beta, alpha); x only enters constraints."""
-    beta = np.asarray(beta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    total = float(np.dot(model.obj_beta, beta))
-    total += float((np.asarray(model.obj_alpha) * alpha).sum())
-    return total
+    total = float(np.dot(model.obj_beta, np.asarray(beta, dtype=float)))
+    return total + float((model.obj_alpha * np.asarray(alpha, dtype=float)).sum())

@@ -359,22 +359,22 @@ def scenario_costs(inst: ScenarioInstance, sol: Solution, check: bool = True) ->
     return inst.costs[:, list(sol.chosen)].sum(axis=1)
 
 
-def scenario_cost(inst: ScenarioInstance, sol: Solution, j: int, check: bool = True) -> float:
+def scenario_cost(inst: ScenarioInstance, sol: Solution, j: int) -> float:
     """Cost of sol under scenario j (0-based)."""
     if not 0 <= j < inst.K:
         raise ValueError(f"scenario index {j} outside 0..{inst.K - 1}")
-    return float(scenario_costs(inst, sol, check=check)[j])
+    return float(scenario_costs(inst, sol)[j])
 
 
-def wowa_value(inst: ScenarioInstance, sol: Solution, check: bool = True) -> float:
+def wowa_value(inst: ScenarioInstance, sol: Solution) -> float:
     """WOWA of the K-vector of scenario costs of sol."""
-    a = scenario_costs(inst, sol, check=check)
+    a = scenario_costs(inst, sol)
     return float(wowa_batch(a.reshape(-1, 1), inst.v, inst.p)[0])
 
 
-def solution_rank_weights(inst: ScenarioInstance, sol: Solution, check: bool = True):
+def solution_rank_weights(inst: ScenarioInstance, sol: Solution):
     """Rank weights induced by sol: scenarios sorted by its costs, nonincreasing."""
-    a = scenario_costs(inst, sol, check=check)
+    a = scenario_costs(inst, sol)
     sigma = tuple(np.argsort(-a, kind="stable").tolist())
     return rank_weights(inst.v, inst.p, sigma)
 
@@ -390,6 +390,8 @@ def remove_zero_scenarios(p, costs):
     costs = np.asarray(costs, dtype=float)
     if p.ndim != 1 or costs.ndim != 2 or costs.shape[0] != p.size:
         raise ValueError("need a K-vector p and a K-by-n cost matrix")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
     if np.any(p < 0.0):
         raise ValueError("probabilities must be nonnegative")
     keep = p > 0.0

@@ -58,6 +58,12 @@ class TestGenerate:
                   "--alpha", 0.01, "--seed", 0, "--out", tmp_path / "x.json")
         assert res.returncode == 2
 
+    def test_unwritable_output_is_io_error(self, tmp_path):
+        res = cli("generate", "--kind", "selection", "--n", 6, "-K", 2, "--alpha", 0.01,
+                  "--seed", 1, "--out", tmp_path / "missing" / "x.json")
+        assert res.returncode == 1
+        assert "cannot write" in res.stderr and "Traceback" not in res.stderr
+
     def test_single_element_selection(self, tmp_path):
         out = tmp_path / "one.json"
         res = cli("generate", "--kind", "selection", "--n", 1, "-K", 2,
@@ -110,6 +116,11 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli("solve", "--in", bad, "--method", "brute").returncode == 2
+
+    def test_missing_input_is_io_error(self, tmp_path):
+        res = cli("solve", "--in", tmp_path / "missing.json", "--method", "brute")
+        assert res.returncode == 1
+        assert "cannot read" in res.stderr and "Traceback" not in res.stderr
 
     def test_ragged_costs_exit_code(self, tmp_path):
         bad = tmp_path / "ragged.json"
@@ -254,10 +265,12 @@ class TestBench:
         ({"kind": 1, "size": 5}, "kind:"),
         ({"kind": "selection", "size": 5, "method": ["bb"]}, "method:"),
         ({"kind": "selection", "size": 5, "method": "lp-only", "lp_dir": 3}, "lp_dir:"),
+        ({"kind": "selection", "size": 5, "method": "bb", "lp_dir": "out"}, "lp_dir:"),
     ], ids=["unknown-key", "not-an-object", "K-float", "K-string", "K-bool", "K-zero",
             "K-not-a-list", "K-repeated", "alpha-repeated", "alpha-string",
             "alpha-out-of-range", "size-float", "n-string", "time-limit-string", "seed-string",
-            "seed-float", "instances-float", "kind-int", "method-list", "lp-dir-int"])
+            "seed-float", "instances-float", "kind-int", "method-list", "lp-dir-int",
+            "lp-dir-with-bb"])
     def test_rejected_config_exit_code(self, tmp_path, cfg, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -200,6 +200,7 @@ class TestExperimentConfig:
         ("size", 0, "size"),
         ("kind", "tree", "kind"),
         ("method", "milp", "method"),
+        ("lp_dir", "lp", "lp_dir:"),  # small_config's method is brute
     ])
     def test_direct_construction_applies_the_value_rules(self, field, value, named):
         with pytest.raises(ValueError, match=named):

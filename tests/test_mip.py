@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN, random_instance
 from wowaopt import (
+    Assignment,
     Explicit,
     MipModel,
     NonIncreasingWeightsError,
     ProbabilityVector,
+    ProblemKind,
     ScenarioInstance,
     Selection,
     Solution,
@@ -26,7 +29,6 @@ from wowaopt import (
     scenario_costs,
     wowa_value,
 )
-from wowaopt.mip import _terms
 
 TOL = 1e-9
 
@@ -207,33 +209,130 @@ class TestExportLp:
         with pytest.raises(ValueError):
             export_lp(model)
 
+    def test_ragged_cost_rows_rejected(self):
+        model = MipModel(
+            n=3, K=2, kind=Selection(q=1), costs=((1.0, 2.0, 3.0), (1.0, 2.0)),
+            obj_beta=(1.0, 1.0), obj_alpha=((1.0, 1.0), (1.0, 1.0)),
+        )
+        with pytest.raises(ValueError):
+            export_lp(model)
 
-def _coupling_rows_by_terms(model):
-    """Reference coupling rows: every cost term rendered by _terms, one row at a time."""
-    xs = [f"x{k + 1}" for k in range(model.n)]
-    for i in range(model.K):
-        x_part = _terms([(1.0, "")] + [(-c, x) for c, x in zip(model.costs[i], xs)])
-        for j in range(model.K):
+
+def _num(x: float) -> str:
+    # Shortest round-trip decimal; integers rendered without the trailing .0
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
+def _terms(pairs) -> str:
+    """Render [(coef, name), ...] as 'c1 n1 + c2 n2 - c3 n3 ...'."""
+    parts: list[str] = []
+    for coef, name in pairs:
+        if coef == 0.0:
+            continue
+        sign = "-" if coef < 0 else "+"
+        mag = abs(coef)
+        term = name if mag == 1.0 else f"{_num(mag)} {name}"
+        if not parts:
+            parts.append(f"- {term}" if sign == "-" else term)
+        else:
+            parts.append(f"{sign} {term}")
+    if not parts:
+        return f"0 {pairs[0][1]}" if pairs else "0"
+    return " ".join(parts)
+
+
+def _lines_by_terms(model):
+    """Reference export: every row rendered by _terms, one term at a time."""
+    K, xs = model.K, [f"x{k + 1}" for k in range(model.n)]
+    beta, alpha, costs = (np.asarray(a, dtype=float).tolist()
+                          for a in (model.obj_beta, model.obj_alpha, model.costs))
+    obj = [(beta[j], f"b{j + 1}") for j in range(K)]
+    obj += [(alpha[i][j], f"a_{i + 1}_{j + 1}") for i in range(K) for j in range(K)]
+    yield from ("\\ wowaopt model export", "Minimize", f" obj: {_terms(obj)}", "Subject To")
+    for i in range(K):
+        # a leading unit term with an empty name renders the rest as a continuation
+        x_part = _terms([(1.0, "")] + [(-c, x) for c, x in zip(costs[i], xs)])
+        for j in range(K):
             head = _terms([(1.0, f"b{j + 1}"), (1.0, f"a_{i + 1}_{j + 1}")])
             yield f" cost{i + 1}_{j + 1}: {head}{x_part} >= 0"
+    for name, terms, rhs in model.kind.lp_rows(model.n):
+        yield f" {name}: {_terms(terms)} = {rhs}"
+    yield "Bounds"
+    yield from (f" b{j + 1} free" for j in range(K))
+    yield from ("Binary", " " + " ".join(xs + model.kind.lp_binaries()), "End")
+
+
+@dataclass(frozen=True)
+class _Rows(ProblemKind):
+    """A kind whose LP rows carry arbitrary coefficients over x1..xn (rendering tests only)."""
+
+    rows: tuple[tuple[float, ...], ...]
+    tag = "rows"
+
+    def lp_rows(self, n: int):
+        return [(f"r{r + 1}", [(c, f"x{k % n + 1}") for k, c in enumerate(row)], r)
+                for r, row in enumerate(self.rows)]
 
 
 # Zero, signed zero, unit and the _num switch from integer to repr at 1e15,
 # with their negatives (a MipModel built by hand need not be checked).
 _EDGE_COEFS = [0.0, -0.0, 1.0, -1.0, 5e-324, 0.1, 2.5, 1e15 - 1, 1e15, 1e16, 1e22, 123456.789]
+_COEF = st.one_of(st.sampled_from(_EDGE_COEFS).flatmap(lambda c: st.sampled_from([c, -c])),
+                  st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
 
 
-@settings(deadline=None)
-@given(st.integers(1, 4).flatmap(lambda k: st.integers(1, 15).flatmap(lambda n: st.lists(
-    st.lists(st.one_of(st.sampled_from(_EDGE_COEFS).flatmap(lambda c: st.sampled_from([c, -c])),
-                       st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)),
-             min_size=n, max_size=n), min_size=k, max_size=k))))
-def test_coupling_rows_equal_term_by_term_rendering(costs):
-    k, n = len(costs), len(costs[0])
-    model = MipModel(n=n, K=k, kind=Selection(q=1), costs=tuple(map(tuple, costs)),
-                     obj_beta=(1.0,) * k, obj_alpha=((1.0,) * k,) * k)
-    rows = [line for line in export_lp(model).splitlines() if line.startswith(" cost")]
-    assert rows == list(_coupling_rows_by_terms(model))
+@st.composite
+def _models(draw):
+    def matrix(rows: int, cols: int) -> np.ndarray:
+        row = st.lists(_COEF, min_size=cols, max_size=cols)
+        return np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float)
+
+    K, kind = draw(st.integers(1, 4)), draw(st.sampled_from(["selection", "assignment",
+                                                               "explicit", "rows"]))
+    if kind == "assignment":
+        m = draw(st.integers(1, 3))
+        n, problem = m * m, Assignment(m=m)
+    else:
+        n = draw(st.integers(1, 12))
+        if kind == "selection":
+            problem = Selection(q=draw(st.integers(1, n)))
+        elif kind == "explicit":  # no solutions at all gives a pick row with no terms
+            subset = st.lists(st.integers(0, n - 1), unique=True, max_size=n)
+            problem = Explicit(tuple(map(tuple, draw(st.lists(subset, max_size=4)))))
+        else:
+            row = st.lists(_COEF, max_size=2 * n).map(tuple)
+            problem = _Rows(tuple(draw(st.lists(row, max_size=3))))
+    return MipModel(n=n, K=K, kind=problem, costs=matrix(K, n), obj_beta=matrix(1, K)[0],
+                    obj_alpha=matrix(K, K))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_models())
+def test_export_equals_term_by_term_rendering(model):
+    text = export_lp(model)
+    assert text.endswith("\n")
+    assert text.splitlines() == list(_lines_by_terms(model))
+
+
+def test_rows_without_nonzero_terms_render_as_pinned():
+    # An empty feasible set leaves the pick row with no terms at all; an
+    # all-zero objective and a scenario of zero costs keep their first name.
+    model = MipModel(n=2, K=1, kind=Explicit(()), costs=np.zeros((1, 2)),
+                     obj_beta=np.zeros(1), obj_alpha=np.zeros((1, 1)))
+    assert export_lp(model) == (
+        "\\ wowaopt model export\nMinimize\n obj: 0 b1\nSubject To\n cost1_1: b1 + a_1_1 >= 0\n"
+        " pick: 0 = 1\n link1: x1 = 0\n link2: x2 = 0\nBounds\n b1 free\nBinary\n x1 x2\nEnd\n"
+    )
+
+
+def test_model_shares_the_instance_costs_read_only():
+    inst = random_instance(np.random.RandomState(5), "selection", 6, 3)
+    model = build_mip(inst)
+    assert np.shares_memory(model.costs, inst.costs)
+    for array in (model.costs, model.obj_beta, model.obj_alpha):
+        assert isinstance(array, np.ndarray) and not array.flags.writeable
 
 
 def _dual_point_by_loop(inst, sol):

@@ -57,7 +57,7 @@ class TestScenarioCost:
         assert scenario_cost(paths_instance, Solution([0, 2, 4]), 3) == pytest.approx(8.0, abs=TOL)
 
     def test_empty_solution_unchecked(self, paths_instance):
-        assert scenario_cost(paths_instance, Solution([]), 0, check=False) == 0.0
+        assert scenario_costs(paths_instance, Solution([]), check=False).tolist() == [0.0] * 4
 
     def test_scenario_index_out_of_range(self, paths_instance):
         with pytest.raises(ValueError):
@@ -203,6 +203,12 @@ class TestRemoveZeroScenarios:
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             remove_zero_scenarios([0.0, 0.0], [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("p", [[0.5, float("nan"), 0.5], [float("inf"), 1.0],
+                                   [1.0, float("-inf")]], ids=["nan", "inf", "minus-inf"])
+    def test_rejects_non_finite_probabilities(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            remove_zero_scenarios(p, [[1, 2]] * len(p))
 
 
 class TestSerialization:
