@@ -69,7 +69,6 @@ from .model import (
     scenario_cost,
     scenario_costs,
     solution_rank_weights,
-    validate,
     wowa_value,
     write_instance,
     write_solution,

@@ -215,15 +215,24 @@ def _coerce_p(p) -> ProbabilityVector:
     return p if isinstance(p, ProbabilityVector) else ProbabilityVector(p)
 
 
-def _rank_omegas(v: WeightVector, ranked_p: np.ndarray) -> np.ndarray:
-    """Rank weights along axis 0 for probabilities already in rank order.
+def _cumulate(p: np.ndarray, order) -> np.ndarray:
+    # P_j along axis 0 in this order, clamped so float drift stays in w*'s domain [0, 1]
+    return np.clip(np.cumsum(p[order], axis=0), 0.0, 1.0)
 
-    omega_j = w*(P_j) - w*(P_{j-1}) with P_j the cumulative sums, clamped to
-    [0, 1] so float drift cannot leave the domain of w*.  Every rank weight
-    in the package comes from here, so all of them agree bit for bit.
+
+def _worst_first(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order of a along axis 0, largest first and ties by ascending index, with its P_j."""
+    order = np.argsort(-a, axis=0, kind="stable")
+    return order, _cumulate(p, order)
+
+
+def _rank_omegas(v: WeightVector, cum: np.ndarray) -> np.ndarray:
+    """Rank weights along axis 0 from the clamped cumulative probabilities P_j.
+
+    omega_j = w*(P_j) - w*(P_{j-1}).  Every rank weight in the package comes
+    from here, so all of them agree bit for bit.
     """
     d = v.distortion
-    cum = np.clip(np.cumsum(ranked_p, axis=0), 0.0, 1.0)
     omega = np.interp(cum, d._grid, d._bp)
     omega[1:] -= omega[:-1].copy()
     return omega
@@ -241,7 +250,7 @@ def rank_weights(v, p, sigma) -> RankWeights:
     if v.k != p.k:
         raise ValueError(f"v has {v.k} components but p has {p.k}")
     sigma = _check_permutation(sigma, p.k)
-    omegas = _rank_omegas(v, p._array[list(sigma)])
+    omegas = _rank_omegas(v, _cumulate(p._array, list(sigma)))
     return RankWeights(omegas=tuple(omegas.tolist()), permutation=sigma)
 
 
@@ -251,8 +260,8 @@ def wowa_batch(a_columns: np.ndarray, v, p) -> np.ndarray:
     This is the single evaluation kernel for the whole package: scalar
     ``wowa`` wraps it with S=1, so every code path produces bit-identical
     values for the same cost vector.  Ties in the sort are broken by
-    ascending scenario index (stable argsort of the negated matrix), which
-    is safe because the result is tie-order independent.
+    ascending scenario index, which is safe because the result is tie-order
+    independent.
     """
     v = _coerce_v(v)
     p = _coerce_p(p)
@@ -261,9 +270,9 @@ def wowa_batch(a_columns: np.ndarray, v, p) -> np.ndarray:
         raise ValueError(f"expected a {v.k}-row matrix, got shape {A.shape}")
     if v.k != p.k:
         raise ValueError(f"v has {v.k} components but p has {p.k}")
-    order = np.argsort(-A, axis=0, kind="stable")
+    order, cum = _worst_first(A, p._array)
     sa = np.take_along_axis(A, order, axis=0)
-    omega = _rank_omegas(v, p._array[order])
+    omega = _rank_omegas(v, cum)
     # Accumulate row by row so the float result is independent of the batch
     # width; numpy reductions change association with shape otherwise.
     out = np.zeros(A.shape[1])

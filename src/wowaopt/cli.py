@@ -17,6 +17,7 @@ from .approx import approx_solve
 from .exact import brute_force, check_time_limit, exact_bb
 from .experiments import (
     ExperimentConfig,
+    check_jobs,
     gen_instance,
     records_to_csv,
     run_benchmark,
@@ -43,11 +44,14 @@ EXIT_INFEASIBLE = 3
 EXIT_UNSUPPORTED = 4
 
 
-def _time_limit(text: str) -> float:
-    try:
-        return check_time_limit(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(parse, check):
+    # An argparse type: text that parse or check rejects is a usage error.
+    def convert(text: str):
+        try:
+            return check(parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance")
     solve.add_argument("--in", dest="inp", required=True, help="instance path")
     solve.add_argument("--method", required=True, choices=["approx", "bb", "brute"])
-    solve.add_argument("--time-limit", type=_time_limit, default=3600.0,
+    solve.add_argument("--time-limit", type=_checked(float, check_time_limit), default=3600.0,
                        help="B&B seconds, positive; inf for no limit (default 3600)")
     solve.add_argument("--out", help="solution output path")
 
@@ -88,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", required=True, help="JSON config path")
     bench.add_argument("--out-csv", required=True, help="per-instance records CSV")
     bench.add_argument("--summary-csv", help="per-cell summary CSV")
-    bench.add_argument("--jobs", type=int, default=1, help="parallel worker cap")
+    bench.add_argument("--jobs", type=_checked(int, check_jobs), default=1,
+                       help="parallel worker cap, positive (default 1)")
     return parser
 
 
@@ -121,14 +126,12 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_generate(args, parser) -> int:
-    if args.kind == "selection":
-        if args.n is None:
-            parser.error("--kind selection requires --n")
-        size = args.n
-    else:
-        if args.m is None:
-            parser.error("--kind assignment requires --m")
-        size = args.m
+    flag, other = ("n", "m") if args.kind == "selection" else ("m", "n")
+    if getattr(args, other) is not None:
+        parser.error(f"--kind {args.kind} does not take --{other}")
+    size = getattr(args, flag)
+    if size is None:
+        parser.error(f"--kind {args.kind} requires --{flag}")
     if args.alpha == "uniform":
         alpha = None
     else:
@@ -211,7 +214,7 @@ def _cmd_bench(args) -> int:
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    records = run_benchmark(cfg, jobs=max(1, args.jobs),
+    records = run_benchmark(cfg, jobs=args.jobs,
                             progress=lambda line: print(line, file=sys.stderr))
     _write_text(args.out_csv, records_to_csv(records))
     if args.summary_csv:

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .aggregation import NonIncreasingWeightsError, _rank_omegas, wowa_batch
+from .aggregation import NonIncreasingWeightsError, _rank_omegas, _worst_first, wowa_batch
 from .approx import approx_solve
 from .base_solvers import FeasibilityError, PartialFixing, Solution, solve_with_costs
 from .model import ScenarioInstance, scenario_costs
@@ -164,9 +164,9 @@ class _BBContext:
             gamma = 2.0 / (offset + step + 2.0)
             costs = found[sol.chosen][1]
             avg = costs if avg is None else (1.0 - gamma) * avg + gamma * costs
-            pi = np.argsort(-avg, kind="stable")
+            pi, cum = _worst_first(avg, self.p)
             direction = np.empty(inst.K)
-            direction[pi] = _rank_omegas(inst.v, self.p[pi])
+            direction[pi] = _rank_omegas(inst.v, cum)
             w_scen = (1.0 - gamma) * w_scen + gamma * direction
         completions, costs = zip(*found.values())
         return bound, best_completion, completions, np.column_stack(costs), (w_scen, avg)

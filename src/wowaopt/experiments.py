@@ -49,6 +49,7 @@ __all__ = [
     "SUMMARY_HEADER",
     "CellSummary",
     "run_benchmark",
+    "check_jobs",
     "summarize",
     "records_to_csv",
     "summaries_to_csv",
@@ -139,6 +140,8 @@ def gen_instance(
         n = size
         problem = Selection(q=q if q is not None else default_q(n))
     elif kind == "assignment":
+        if q is not None:
+            raise ValueError(f"q: only a selection has a size q, got q={q!r} for an assignment")
         n = size * size
         problem = Assignment(m=size)
     else:
@@ -377,6 +380,13 @@ def _run_one(cfg: ExperimentConfig, k: int, alpha: Optional[float], index: int) 
     )
 
 
+def check_jobs(jobs: int) -> int:
+    """A benchmark worker count: a positive integer."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive worker count, got {jobs!r}")
+    return jobs
+
+
 def run_benchmark(
     cfg: ExperimentConfig,
     jobs: int = 1,
@@ -387,6 +397,7 @@ def run_benchmark(
     Per-instance failures are recorded (status "error") without aborting
     the batch.  Records come back sorted by (K, alpha, instance).
     """
+    check_jobs(jobs)
     tasks = [
         (k, alpha, index)
         for k in cfg.k_values

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import NonIncreasingWeightsError
+from .aggregation import NonIncreasingWeightsError, _worst_first
 from .model import ProblemKind, ScenarioInstance, Solution, scenario_costs
 
 __all__ = [
@@ -163,9 +163,7 @@ def greedy_dual_point(inst: ScenarioInstance, sol: Solution):
     which is how the exported model is verified without an external solver.
     """
     F = scenario_costs(inst, sol)
-    p = inst.p.as_array()
-    order = np.argsort(-F, kind="stable")
-    cum = np.cumsum(p[order])
+    order, cum = _worst_first(F, inst.p.as_array())
     K = inst.K
     pos = np.searchsorted(cum, np.arange(1, K + 1) / K, side="left")
     beta = F[order[np.minimum(pos, K - 1)]]

@@ -19,7 +19,8 @@ from typing import Iterator
 import numpy as np
 
 from . import base_solvers
-from .aggregation import ProbabilityVector, WeightVector, rank_weights, wowa_batch
+from .aggregation import ProbabilityVector, RankWeights, WeightVector, wowa_batch
+from .aggregation import _rank_omegas, _worst_first
 from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "scenario_costs",
     "wowa_value",
     "solution_rank_weights",
-    "validate",
     "remove_zero_scenarios",
     "read_instance",
     "write_instance",
@@ -80,6 +80,11 @@ def _json_numbers(values, field: str) -> list:
     return values
 
 
+def _is_int(value) -> bool:
+    # a kind's size: a Python or numpy integer, not a bool and not a float such as 2.0
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _json_ints(values, field: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise InstanceFormatError(f"{field}: expected a JSON list, got {values!r}")
@@ -98,6 +103,8 @@ class Selection(ProblemKind):
     tag = "selection"
 
     def problems(self, n: int) -> list[str]:
+        if not _is_int(self.q):
+            return [f"kind: selection size q={self.q!r} is not an integer"]
         if not 1 <= self.q <= n:
             return [f"kind: selection size q={self.q} outside 1..{n}"]
         return []
@@ -127,7 +134,7 @@ class Selection(ProblemKind):
         return [("card", [(1.0, f"x{i + 1}") for i in range(n)], self.q)]
 
     def to_json(self) -> dict:
-        return {"q": self.q}
+        return {"q": int(self.q)}  # a numpy integer is not JSON serializable
 
     @classmethod
     def from_json(cls, body) -> "Selection":
@@ -145,6 +152,8 @@ class Assignment(ProblemKind):
     tag = "assignment"
 
     def problems(self, n: int) -> list[str]:
+        if not _is_int(self.m):
+            return [f"kind: assignment side m={self.m!r} is not an integer"]
         if self.m < 1 or self.m * self.m != n:
             return [f"kind: assignment needs n = m^2, got n={n}, m={self.m}"]
         return []
@@ -180,7 +189,7 @@ class Assignment(ProblemKind):
         return rows + cols
 
     def to_json(self) -> dict:
-        return {"m": self.m}
+        return {"m": int(self.m)}
 
     @classmethod
     def from_json(cls, body) -> "Assignment":
@@ -203,6 +212,8 @@ class Explicit(ProblemKind):
         for s, sol in enumerate(self.solutions):
             if any(not 0 <= i < n for i in sol):
                 problems.append(f"kind: explicit solution {s} has out-of-range elements")
+            if len(set(sol)) < len(sol):
+                problems.append(f"kind: explicit solution {s} repeats an element")
         return problems
 
     def check(self, sol: Solution) -> None:
@@ -253,86 +264,58 @@ _KINDS = {kind.tag: kind for kind in (Selection, Assignment, Explicit)}
 
 
 class ScenarioInstance:
-    """Immutable problem instance.
+    """Immutable problem instance, valid by construction.
 
-    Construction validates every structural invariant and raises unless
-    ``checked=False``, in which case the raw data is stored as given and
-    :func:`validate` collects the violations as a report.  The ``p`` and
-    ``v`` vector objects are built lazily (and will raise on invalid data).
+    Construction checks every structural invariant and raises one
+    InstanceFormatError that lists each violation, separated by "; ".
     """
 
-    def __init__(self, costs, p, v, kind: ProblemKind, checked: bool = True):
+    def __init__(self, costs, p, v, kind: ProblemKind):
         costs = np.array(costs, dtype=float)
         if costs.ndim != 2:
             raise InstanceFormatError("costs must be a K-by-n matrix")
         self.costs = costs
         self.costs.flags.writeable = False
         self.K, self.n = costs.shape
-        self.p_raw = tuple(p.values) if isinstance(p, ProbabilityVector) else tuple(
-            float(x) for x in p
-        )
-        self.v_raw = tuple(v.values) if isinstance(v, WeightVector) else tuple(
-            float(x) for x in v
-        )
         self.kind = kind
-        self._p: ProbabilityVector | None = p if isinstance(p, ProbabilityVector) else None
-        self._v: WeightVector | None = v if isinstance(v, WeightVector) else None
-        if checked:
-            problems = validate(self)
-            if problems:
-                raise InstanceFormatError("; ".join(problems))
-            # raw mirrors the normalized values (validate has built both
-            # vectors) so equality and round-trips are exact for valid instances
-            self.p_raw = self._p.values
-            self.v_raw = self._v.values
-
-    @property
-    def p(self) -> ProbabilityVector:
-        if self._p is None:
-            self._p = ProbabilityVector(self.p_raw)
-        return self._p
-
-    @property
-    def v(self) -> WeightVector:
-        if self._v is None:
-            self._v = WeightVector(self.v_raw)
-        return self._v
+        problems: list[str] = []
+        if self.n < 1:
+            problems.append("n: need at least one element")
+        if self.K < 1:
+            problems.append("K: need at least one scenario")
+        if np.any(costs < 0.0):
+            problems.append("costs: negative entries are not allowed")
+        if not np.all(np.isfinite(costs)):
+            problems.append("costs: non-finite entries")
+        vectors = []
+        for name, make, values in (("p", ProbabilityVector, p), ("v", WeightVector, v)):
+            try:
+                vec, rule = (values if isinstance(values, make) else make(values)), []
+            except (TypeError, ValueError) as exc:  # the vector type's own rules
+                vec, rule = None, [f"{name}: {exc}"]
+            count = vec.k if vec is not None else np.asarray(values, dtype=object).size
+            if count != self.K:
+                problems.append(f"{name}: has {count} entries, expected K={self.K}")
+            problems += rule
+            vectors.append(vec)
+        self.p, self.v = vectors
+        problems += kind.problems(self.n)
+        if problems:
+            raise InstanceFormatError("; ".join(problems))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScenarioInstance):
             return NotImplemented
         return (
             self.kind == other.kind
-            and self.p_raw == other.p_raw
-            and self.v_raw == other.v_raw
+            and self.p == other.p
+            and self.v == other.v
             and self.costs.shape == other.costs.shape
             and bool(np.all(self.costs == other.costs))
         )
 
     def __repr__(self) -> str:
         return f"ScenarioInstance(n={self.n}, K={self.K}, kind={self.kind!r})"
-
-
-def validate(inst: ScenarioInstance) -> list[str]:
-    """Collect invariant violations; empty list means the instance is sound."""
-    problems: list[str] = []
-    if inst.n < 1:
-        problems.append("n: need at least one element")
-    if inst.K < 1:
-        problems.append("K: need at least one scenario")
-    if np.any(inst.costs < 0.0):
-        problems.append("costs: negative entries are not allowed")
-    if not np.all(np.isfinite(inst.costs)):
-        problems.append("costs: non-finite entries")
-    for name, raw in (("p", inst.p_raw), ("v", inst.v_raw)):
-        if len(raw) != inst.K:
-            problems.append(f"{name}: has {len(raw)} entries, expected K={inst.K}")
-        try:
-            getattr(inst, name)  # the vector type's own rules; built once, then cached
-        except ValueError as exc:
-            problems.append(f"{name}: {exc}")
-    problems += inst.kind.problems(inst.n)
-    return problems
 
 
 def check_feasible(inst: ScenarioInstance, sol: Solution) -> None:
@@ -374,9 +357,8 @@ def wowa_value(inst: ScenarioInstance, sol: Solution) -> float:
 
 def solution_rank_weights(inst: ScenarioInstance, sol: Solution):
     """Rank weights induced by sol: scenarios sorted by its costs, nonincreasing."""
-    a = scenario_costs(inst, sol)
-    sigma = tuple(np.argsort(-a, kind="stable").tolist())
-    return rank_weights(inst.v, inst.p, sigma)
+    order, cum = _worst_first(scenario_costs(inst, sol), inst.p._array)
+    return RankWeights(tuple(_rank_omegas(inst.v, cum).tolist()), tuple(order.tolist()))
 
 
 def remove_zero_scenarios(p, costs):
@@ -453,10 +435,7 @@ def read_instance(text: str) -> ScenarioInstance:
         raise InstanceFormatError(f"costs: expected a {k}x{n} matrix as a JSON list of rows")
     for row in costs:
         _json_numbers(row, "costs")
-    try:
-        return ScenarioInstance(np.array(costs, dtype=float).reshape(k, n), p, v, kind)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    return ScenarioInstance(np.array(costs, dtype=float).reshape(k, n), p, v, kind)
 
 
 def _indented_numbers(values, pad: str) -> str:

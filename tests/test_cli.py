@@ -58,6 +58,20 @@ class TestGenerate:
                   "--alpha", 0.01, "--seed", 0, "--out", tmp_path / "x.json")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--kind", "assignment", "--m", "3", "--q", "5"], "q"),
+        (["--kind", "assignment", "--m", "3", "--q", "5", "--n", "7"], "--n"),
+        (["--kind", "selection", "--n", "9", "--m", "3"], "--m"),
+    ], ids=["assignment-q", "assignment-n", "selection-m"])
+    def test_other_kinds_flag_is_usage_error(self, tmp_path, flags, named, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *flags, "-K", "2", "--alpha", "0.1", "--seed", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         res = cli("generate", "--kind", "selection", "--n", 6, "-K", 2, "--alpha", 0.01,
                   "--seed", 1, "--out", tmp_path / "missing" / "x.json")
@@ -131,6 +145,16 @@ class TestSolve:
         assert res.returncode == 2
         assert "costs" in res.stderr and "Traceback" not in res.stderr
 
+
+    def test_repeated_element_in_explicit_solution_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "repeated.json"
+        doc = json.loads((GOLDEN / "paths_example.json").read_text())
+        doc["kind"] = {"explicit": {"solutions": [[0, 0], [1, 1]]}}
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--in", str(bad), "--method", "brute"])
+        assert exc.value.code == 2
+        assert "kind: explicit solution 0 repeats an element" in capsys.readouterr().err
 
     @pytest.mark.parametrize("limit", ["nan", "-5", "0", "ten"])
     def test_bad_time_limit_is_usage_error(self, limit, capsys):
@@ -278,6 +302,16 @@ class TestBench:
         assert res.returncode == 2
         assert named in res.stderr
 
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_bad_jobs_is_usage_error(self, tmp_path, jobs, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(tmp_path / "cfg.json"), "--out-csv", str(out),
+                  "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("limit", [-1, 0, float("nan")], ids=["negative", "zero", "nan"])
     def test_bad_time_limit_exit_code(self, tmp_path, limit, capsys):

@@ -175,6 +175,10 @@ class TestGenInstance:
         with pytest.raises(ValueError):
             gen_instance("spanning-tree", 5, 2, 1e-2, 0)
 
+    def test_assignment_rejects_a_selection_size(self):
+        with pytest.raises(ValueError, match="q"):
+            gen_instance("assignment", 3, 2, 0.1, 1, q=5)
+
 
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(kind="selection", size=10, k_values=(2,), alphas=(1e-2,),
@@ -256,6 +260,11 @@ class TestRunBenchmark:
         parallel = run_benchmark(cfg, jobs=2)
         assert [r.exact_value for r in serial] == [r.exact_value for r in parallel]
         assert [r.approx_value for r in serial] == [r.approx_value for r in parallel]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_benchmark(small_config(), jobs=jobs)
 
     def test_bb_and_brute_agree(self):
         recs_bb = run_benchmark(small_config(method="bb"))

@@ -29,7 +29,6 @@ from wowaopt import (
     remove_zero_scenarios,
     scenario_cost,
     scenario_costs,
-    validate,
     wowa_value,
     write_instance,
     write_solution,
@@ -151,47 +150,75 @@ class TestFeasibility:
         assert not is_feasible(paths_instance, Solution([0, 4]))
 
 
-class TestValidate:
+def _problems(costs, p, v, kind) -> list[str]:
+    # the violations one construction reports, in order
+    with pytest.raises(InstanceFormatError) as exc:
+        ScenarioInstance(costs, p, v, kind)
+    return str(exc.value).split("; ")
+
+
+class TestConstructionErrors:
     def test_well_formed(self, paths_instance):
-        assert validate(paths_instance) == []
+        inst = paths_instance
+        assert ScenarioInstance(inst.costs, inst.p, inst.v, inst.kind) == inst
 
     def test_probabilities_not_summing(self):
-        inst = ScenarioInstance(
-            [[1.0, 2.0], [3.0, 4.0]], [0.5, 0.4], [0.5, 0.5], Selection(q=1), checked=False
-        )
-        problems = validate(inst)
+        problems = _problems([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.4], [0.5, 0.5], Selection(q=1))
         assert len(problems) == 1 and problems[0].startswith("p:")
 
     def test_nan_probabilities(self):
-        inst = ScenarioInstance(
-            [[1.0, 2.0], [3.0, 4.0]], [np.nan, np.nan], [0.5, 0.5], Selection(q=1),
-            checked=False,
-        )
-        problems = validate(inst)
+        problems = _problems([[1.0, 2.0], [3.0, 4.0]], [np.nan, np.nan], [0.5, 0.5],
+                             Selection(q=1))
         assert len(problems) == 1 and problems[0].startswith("p:")
+
+    @pytest.mark.parametrize("p", [0.5, ["a", "b"]], ids=["scalar", "strings"])
+    def test_unparsable_probabilities_are_typed(self, p):
+        problems = _problems([[1.0, 2.0], [3.0, 4.0]], p, [0.5, 0.5], Selection(q=1))
+        assert [msg for msg in problems if not msg.startswith("p:")] == []
 
     def test_weight_rule_is_the_weight_vectors(self):
         # within SUM_TOL of [0, 1]: WeightVector accepts and clips these
         v = [1.0 + 5e-10, -5e-10]
         assert WeightVector(v).values == (1.0, 0.0)
         costs = [[1.0, 2.0], [3.0, 4.0]]
-        assert validate(ScenarioInstance(costs, [0.5, 0.5], v, Selection(q=1), checked=False)) == []
-        assert ScenarioInstance(costs, [0.5, 0.5], v, Selection(q=1)).v_raw == (1.0, 0.0)
+        assert ScenarioInstance(costs, [0.5, 0.5], v, Selection(q=1)).v.values == (1.0, 0.0)
 
     def test_assignment_needs_square(self):
-        inst = ScenarioInstance(
-            np.ones((2, 10)), [0.5, 0.5], [0.5, 0.5], Assignment(m=3), checked=False
-        )
-        problems = validate(inst)
+        problems = _problems(np.ones((2, 10)), [0.5, 0.5], [0.5, 0.5], Assignment(m=3))
         assert len(problems) == 1 and problems[0].startswith("kind:")
 
     def test_negative_costs(self):
-        inst = ScenarioInstance([[-1.0, 2.0]], [1.0], [1.0], Selection(q=1), checked=False)
-        assert any(msg.startswith("costs:") for msg in validate(inst))
+        problems = _problems([[-1.0, 2.0]], [1.0], [1.0], Selection(q=1))
+        assert any(msg.startswith("costs:") for msg in problems)
 
-    def test_checked_construction_raises(self):
-        with pytest.raises(InstanceFormatError):
-            ScenarioInstance([[1.0, 2.0]], [0.9], [1.0], Selection(q=1))
+    def test_every_violation_in_one_error(self):
+        problems = _problems([[-1.0, 2.0], [3.0, 4.0]], [0.5, 0.4, 0.2], [0.5, 0.5],
+                             Selection(q=3))
+        assert problems == [
+            "costs: negative entries are not allowed",
+            "p: has 3 entries, expected K=2",
+            "p: probabilities must sum to 1, got 1.1",
+            "kind: selection size q=3 outside 1..2",
+        ]
+
+    @pytest.mark.parametrize("kind, n", [(Selection(q=2.5), 4), (Selection(q=True), 4),
+                                         (Assignment(m=2.0), 4), (Assignment(m=False), 4)],
+                             ids=["q-float", "q-bool", "m-float", "m-bool"])
+    def test_kind_size_must_be_an_integer(self, kind, n):
+        problems = _problems(np.ones((1, n)), [1.0], [1.0], kind)
+        assert len(problems) == 1 and problems[0].startswith("kind:")
+        assert "not an integer" in problems[0]
+
+    @pytest.mark.parametrize("kind", [Selection(q=np.int64(2)), Assignment(m=np.int32(2))],
+                             ids=["q", "m"])
+    def test_numpy_integer_kind_sizes_accepted(self, kind):
+        inst = ScenarioInstance(np.ones((1, 4)), [1.0], [1.0], kind)
+        assert read_instance(write_instance(inst)) == inst
+
+    def test_explicit_solution_with_a_repeated_element(self):
+        problems = _problems(np.ones((1, 3)), [1.0], [1.0], Explicit(((0, 0), (1, 2), (2, 2))))
+        assert problems == ["kind: explicit solution 0 repeats an element",
+                            "kind: explicit solution 2 repeats an element"]
 
 
 class TestRemoveZeroScenarios:
@@ -419,11 +446,3 @@ def _instances(draw):
 def test_write_instance_equals_indented_json_dumps(inst):
     assert write_instance(inst) == _dumps_reference(inst)
     assert read_instance(write_instance(inst)) == inst
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.sampled_from([float("nan"), float("inf"), -1.0, 2.5, -0.0]),
-                min_size=1, max_size=6))
-def test_write_instance_of_unchecked_costs_equals_json_dumps(row):
-    inst = ScenarioInstance([row], [1.0], [1.0], Selection(q=1), checked=False)
-    assert write_instance(inst) == _dumps_reference(inst)
