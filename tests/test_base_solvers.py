@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,70 @@ class TestDispatcher:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             solve_with_costs("nope", [1.0])
+
+
+def _pin_costs(rng, size: int, style: int) -> np.ndarray:
+    # integers in 0..100, tie-heavy integers in 0..3, fractions scaled by 10^U(-6, 6)
+    if style == 0:
+        return rng.randint(0, 101, size=size).astype(float)
+    if style == 1:
+        return rng.randint(0, 4, size=size).astype(float)
+    return rng.random_sample(size) * 10.0 ** rng.uniform(-6, 6)
+
+
+def _pin_fixing(rng, order: list, n_in: int, most_out: int) -> PartialFixing:
+    # forced in: the first n_in of order; forced out: up to most_out of the rest
+    n_out = rng.randint(0, most_out + 1)
+    return PartialFixing(order[:n_in], order[n_in:n_in + n_out])
+
+
+def _pin_outcome(solve, costs, fix) -> str:
+    try:
+        sol, value = solve(costs, fix)
+    except FeasibilityError as exc:
+        return str(exc)
+    return repr((sol.chosen, value.hex()))
+
+
+def _assignment_outcomes():
+    rng = np.random.RandomState(2024)
+    for i in range(4000):
+        m = 1 + i % 8
+        cost = _pin_costs(rng, m * m, i // 8 % 3).reshape(m, m)
+        # edges of a random perfect matching first, so that forced-in edges
+        # mostly form a partial matching; every tenth case may not
+        matching = [r * m + c for r, c in enumerate(rng.permutation(m))]
+        order = matching + [e for e in rng.permutation(m * m).tolist() if e not in matching]
+        if i % 10 == 9:
+            rng.shuffle(order)
+        fix = _pin_fixing(rng, order, rng.randint(0, m), m * m // 2)
+        yield _pin_outcome(solve_assignment, cost, fix)
+
+
+def _selection_outcomes():
+    rng = np.random.RandomState(2025)
+    for i in range(2000):
+        n = rng.randint(1, 41)
+        q = rng.randint(1, n + 1)
+        costs = _pin_costs(rng, n, i % 3)
+        fix = _pin_fixing(rng, rng.permutation(n).tolist(), rng.randint(0, q + 2), n - q + 1)
+        yield _pin_outcome(lambda c, f: solve_selection(c, q, f), costs, fix)
+
+
+# sha256 over the outcomes of seeded (costs, fixing) pairs: (chosen, value.hex())
+# or the FeasibilityError message.  The branch-and-bound's path depends on
+# which of tied optima the base solvers return, so any change to their tie
+# breaking or arithmetic shows here.
+_SOLVER_PINS = {
+    "assignment": (_assignment_outcomes,
+                   "9e59c04679f7a3e4d5d62e0bab0477a5774d3a24770896bc2fbe4406820ccceb"),
+    "selection": (_selection_outcomes,
+                  "764d8244cbc5700799448b6a6cb061950a1ee655b52a284c5d61a94366114a09"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVER_PINS))
+def test_base_solver_outcomes_are_pinned(name):
+    outcomes, digest = _SOLVER_PINS[name]
+    text = "\n".join(outcomes())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
