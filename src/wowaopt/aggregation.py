@@ -51,6 +51,12 @@ def _vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _is_int(value) -> bool:
+    # a count such as K or a kind's size: a Python or numpy integer, not a
+    # bool and not a float such as 2.0
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _nonincreasing(arr: np.ndarray) -> bool:
     # one exact rule for WeightVector.is_nonincreasing and DistortionFunction.is_concave
     return bool(np.all(arr[:-1] >= arr[1:]))
@@ -324,6 +330,8 @@ def generate_weights(alpha: float, k: int) -> WeightVector:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    if not _is_int(k):
+        raise ValueError(f"K must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"K must be positive, got {k!r}")
     z = np.arange(k + 1) / k

@@ -82,11 +82,15 @@ class ProblemKind:
     * ``size(n)`` and ``enumerate(n)``: how many feasible solutions there
       are, and each of them once as a sorted tuple of indices;
     * ``solve(costs, fix)``: the cheapest feasible (Solution, cost) under a
-      flat n-vector of costs and a partial fixing;
+      flat n-vector of costs and a partial fixing, raising FeasibilityError
+      when the fixing has no feasible completion;
     * ``lp_rows(n)``: its LP equality rows (name, [(coef, variable)], rhs)
       over x1..xn and ``lp_binaries()``;
     * ``to_json()`` and the classmethod ``from_json(body)``: the body of its
       JSON object, the part under ``tag``.
+
+    The branch-and-bound branches on ``free_elements(fix, n)``; a branch
+    without a completion is dropped when its ``solve`` raises.
     """
 
     tag: str
@@ -94,10 +98,6 @@ class ProblemKind:
     def free_elements(self, fix: PartialFixing, n: int) -> set[int]:
         """Elements to branch on; empty once the fixing admits one completion."""
         return set(range(n)) - fix.forced_in - fix.forced_out
-
-    def plausible(self, fix: PartialFixing, n: int) -> bool:
-        """False if the fixing cheaply shows no completion (else solve raises)."""
-        return True
 
     def lp_binaries(self) -> list[str]:
         """Binary variables the LP rows use besides x1..xn."""
@@ -116,17 +116,19 @@ def solve_selection(costs, q: int, fix: PartialFixing = NO_FIXING) -> tuple[Solu
     need = q - len(fix.forced_in)
     if len(free) < need:
         raise FeasibilityError("not enough free elements to complete the selection")
-    free.sort(key=lambda i: (c[i], i))
+    free.sort(key=c.tolist().__getitem__)  # stable: ties stay in index order
     chosen = sorted(fix.forced_in) + free[:need]
     sol = Solution(chosen)
     return sol, float(c[list(sol.chosen)].sum())
 
 
-def _hungarian(cost: np.ndarray) -> list[int]:
+def _hungarian(cost: list[list[float]]) -> list[int]:
     # O(m^3) shortest-augmenting-path form with row/column potentials.
     # Columns are scanned in ascending order with strict improvement, so
-    # ties resolve to the lexicographically first matching by row.
-    m = cost.shape[0]
+    # ties resolve to the lexicographically first matching by row.  An
+    # entry of +inf is a forbidden edge: a search that reaches no column at
+    # a finite distance proves that no perfect matching avoids them.
+    m = len(cost)
     INF = float("inf")
     u = [0.0] * (m + 1)
     v = [0.0] * (m + 1)
@@ -152,6 +154,8 @@ def _hungarian(cost: np.ndarray) -> list[int]:
                     if minv[j] < delta:
                         delta = minv[j]
                         j1 = j
+            if j1 < 0:
+                raise FeasibilityError("fixing does not extend to a perfect matching")
             for j in range(m + 1):
                 if used[j]:
                     u[match[j]] += delta
@@ -175,8 +179,8 @@ def solve_assignment(cost_matrix, fix: PartialFixing = NO_FIXING) -> tuple[Solut
     """Minimum-cost perfect matching on an m-by-m matrix, Hungarian method.
 
     Fixed edges are handled by matrix reduction: forced-in rows/columns are
-    removed, forced-out entries are replaced by a sentinel larger than any
-    matching can cost.  Edge (row, col) is flat element row * m + col.
+    removed and forced-out entries become +inf, which the Hungarian method
+    never matches.  Edge (row, col) is flat element row * m + col.
     """
     c = np.asarray(cost_matrix, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -185,7 +189,7 @@ def solve_assignment(cost_matrix, fix: PartialFixing = NO_FIXING) -> tuple[Solut
 
     if any(not 0 <= e < m * m for e in fix.forced_in | fix.forced_out):
         raise ValueError(f"fixed edge index outside 0..{m * m - 1}")
-    in_pairs = sorted(divmod(e, m) for e in fix.forced_in)
+    in_pairs = [divmod(e, m) for e in fix.forced_in]
     rows_used = {r for r, _ in in_pairs}
     cols_used = {col for _, col in in_pairs}
     if len(rows_used) != len(in_pairs) or len(cols_used) != len(in_pairs):
@@ -193,23 +197,12 @@ def solve_assignment(cost_matrix, fix: PartialFixing = NO_FIXING) -> tuple[Solut
 
     free_rows = [r for r in range(m) if r not in rows_used]
     free_cols = [col for col in range(m) if col not in cols_used]
-    row_pos = {r: i for i, r in enumerate(free_rows)}
-    col_pos = {col: i for i, col in enumerate(free_cols)}
     chosen = list(fix.forced_in)
     if free_rows:
-        sub = c[np.ix_(free_rows, free_cols)].copy()
-        sentinel = sub.shape[0] * max(1.0, float(np.abs(c).max())) + 1.0
-        blocked = np.zeros_like(sub, dtype=bool)
-        for e in fix.forced_out:
-            r, col = divmod(e, m)
-            if r in row_pos and col in col_pos:
-                blocked[row_pos[r], col_pos[col]] = True
-        sub[blocked] = sentinel
-        row_to_col = _hungarian(sub)
-        for rr, cc in enumerate(row_to_col):
-            if blocked[rr, cc]:
-                raise FeasibilityError("fixing does not extend to a perfect matching")
-            chosen.append(free_rows[rr] * m + free_cols[cc])
+        reduced = c.copy()
+        reduced.flat[list(fix.forced_out)] = np.inf
+        row_to_col = _hungarian(reduced[np.ix_(free_rows, free_cols)].tolist())
+        chosen += [free_rows[r] * m + free_cols[col] for r, col in enumerate(row_to_col)]
     sol = Solution(chosen)
     total = float(sum(c[divmod(e, m)] for e in sol.chosen))
     return sol, total

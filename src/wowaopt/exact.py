@@ -245,12 +245,12 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
         e = ctx.branch_element(fix, completion)
         if e is None:
             continue  # fully decided; the bound solve already evaluated it
+        # a child with no completion raises FeasibilityError in its bound solve
         for child in (
             PartialFixing(fix.forced_in | {e}, fix.forced_out),
             PartialFixing(fix.forced_in, fix.forced_out | {e}),
         ):
-            if inst.kind.plausible(child, inst.n):
-                heapq.heappush(heap, (bound, next(counter), child, warm))
+            heapq.heappush(heap, (bound, next(counter), child, warm))
 
     return ExactResult(
         solution=best_sol,

@@ -32,11 +32,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import WeightVector, generate_weights
+from .aggregation import WeightVector, _is_int, generate_weights
 from .approx import approx_solve
 from .exact import brute_force, check_time_limit, exact_bb
 from .mip import build_mip, export_lp
-from .model import Assignment, ScenarioInstance, Selection, _json_int
+from .model import Assignment, ScenarioInstance, Selection
+from .model import _each, _json_int, _json_number, _json_str
 
 __all__ = [
     "SplitMix64",
@@ -136,6 +137,10 @@ def gen_instance(
     (size = m, n = m*m elements).  ``alpha`` parameterizes the weight
     generator; None means uniform importance weights.
     """
+    for name, value in (("size", size), ("K", k)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    size, k = int(size), int(k)  # numpy integers overflow in the generator's arithmetic
     if kind == "selection":
         n = size
         problem = Selection(q=q if q is not None else default_q(n))
@@ -213,30 +218,10 @@ class ExperimentConfig:
         return cls(**known)
 
 
-def _typed(types: tuple, what: str):
-    def parse(value, key: str):
-        # bool is an int subclass, so the exact type is compared
-        if type(value) not in types:
-            raise ValueError(f"{key}: expected {what}, got {value!r}")
-        return value
-    return parse
-
-
-_json_str = _typed((str,), "a JSON string")
-_json_number = _typed((int, float), "a JSON number")
-_json_list = _typed((list,), "a JSON list")
-
-
 def _alpha(value, key: str) -> Optional[float]:
     if value is None or value == "uniform":
         return None
     return float(_json_number(value, key))
-
-
-def _each(parse):
-    def parse_list(values, key: str) -> tuple:
-        return tuple(parse(x, key) for x in _json_list(values, key))
-    return parse_list
 
 
 # config key -> (ExperimentConfig field, parser of the JSON value)

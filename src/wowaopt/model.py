@@ -20,7 +20,7 @@ import numpy as np
 
 from . import base_solvers
 from .aggregation import ProbabilityVector, RankWeights, WeightVector, wowa_batch
-from .aggregation import _rank_omegas, _worst_first
+from .aggregation import _is_int, _rank_omegas, _worst_first
 from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
 
 __all__ = [
@@ -59,36 +59,51 @@ def _require(doc: dict, field: str, where: str = "instance"):
     return doc[field]
 
 
-def _json_int(value, field: str) -> int:
-    # bool is an int subclass, and floats such as 2.0 must not pass either
-    if type(value) is not int:
-        raise InstanceFormatError(f"{field}: expected a JSON integer, got {value!r}")
-    return value
+def _typed(types: tuple, what: str):
+    """A parser of one JSON value: the value itself if its type is one of types."""
+    def parse(value, field: str):
+        # bool is an int subclass, and floats such as 2.0 must not pass as ints
+        if type(value) not in types:
+            raise InstanceFormatError(f"{field}: expected {what}, got {value!r}")
+        return value
+    return parse
 
 
-_NUMBER_TYPES = {int, float}
+_json_int = _typed((int,), "a JSON integer")
+_json_number = _typed((int, float), "a JSON number")
+_json_str = _typed((str,), "a JSON string")
+_json_list = _typed((list,), "a JSON list")
+
+
+def _each(parse):
+    """A parser of a JSON list: the tuple of its entries, each read by parse."""
+    def parse_list(values, field: str) -> tuple:
+        return tuple(parse(x, field) for x in _json_list(values, field))
+    return parse_list
 
 
 def _json_numbers(values, field: str) -> list:
-    # One pass over the entries.  bool is an int subclass, and strings and
-    # null must not be parsed into numbers either.
-    if not isinstance(values, list):
-        raise InstanceFormatError(f"{field}: expected a JSON list, got {values!r}")
-    if not set(map(type, values)) <= _NUMBER_TYPES:
-        bad = next(x for x in values if type(x) not in _NUMBER_TYPES)
-        raise InstanceFormatError(f"{field}: expected a JSON number, got {bad!r}")
+    # one pass over the entry types in the common case, all of them numbers
+    if not set(map(type, _json_list(values, field))) <= {int, float}:
+        _each(_json_number)(values, field)
     return values
 
 
-def _is_int(value) -> bool:
-    # a kind's size: a Python or numpy integer, not a bool and not a float such as 2.0
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _json_ints(values, field: str) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise InstanceFormatError(f"{field}: expected a JSON list, got {values!r}")
-    return tuple(_json_int(i, field) for i in values)
+def _cost_matrix(costs) -> np.ndarray:
+    # A float copy of costs, which must be a K-by-n matrix of Python or numpy
+    # real numbers: not ragged, and no strings, None or bools, which numpy
+    # would coerce.
+    try:
+        raw = costs if isinstance(costs, np.ndarray) else np.array(costs, dtype=object)
+    except ValueError:  # nested sequences numpy cannot shape
+        raw = np.empty(0)
+    if raw.ndim != 2:
+        raise InstanceFormatError("costs: must be a K-by-n matrix")
+    if raw.dtype.kind not in "iuf":
+        for x in raw.flat:
+            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                raise InstanceFormatError(f"costs: expected a number, got {x!r}")
+    return raw.astype(float)
 
 
 # The solves look the base solvers up on their module at call time, so a
@@ -126,9 +141,6 @@ class Selection(ProblemKind):
         if len(fix.forced_in) == self.q or n - len(fix.forced_out) == self.q:
             return set()
         return super().free_elements(fix, n)
-
-    def plausible(self, fix: PartialFixing, n: int) -> bool:
-        return len(fix.forced_in) <= self.q <= n - len(fix.forced_out)
 
     def lp_rows(self, n: int):
         return [("card", [(1.0, f"x{i + 1}") for i in range(n)], self.q)]
@@ -255,9 +267,7 @@ class Explicit(ProblemKind):
     @classmethod
     def from_json(cls, body) -> "Explicit":
         sols = _require(body, "solutions", "kind.explicit")
-        if not isinstance(sols, list):
-            raise InstanceFormatError(f"kind.explicit.solutions: expected a JSON list, got {sols!r}")
-        return cls(solutions=tuple(_json_ints(s, "kind.explicit.solutions") for s in sols))
+        return cls(solutions=_each(_each(_json_int))(sols, "kind.explicit.solutions"))
 
 
 _KINDS = {kind.tag: kind for kind in (Selection, Assignment, Explicit)}
@@ -271,10 +281,7 @@ class ScenarioInstance:
     """
 
     def __init__(self, costs, p, v, kind: ProblemKind):
-        costs = np.array(costs, dtype=float)
-        if costs.ndim != 2:
-            raise InstanceFormatError("costs must be a K-by-n matrix")
-        self.costs = costs
+        self.costs = costs = _cost_matrix(costs)
         self.costs.flags.writeable = False
         self.K, self.n = costs.shape
         self.kind = kind
@@ -471,7 +478,7 @@ def write_instance(inst: ScenarioInstance) -> str:
 
 def read_solution(text: str) -> Solution:
     doc = _load_json(text, "solution")
-    return Solution(_json_ints(_require(doc, "chosen", "solution"), "chosen"))
+    return Solution(_each(_json_int)(_require(doc, "chosen", "solution"), "chosen"))
 
 
 def write_solution(sol: Solution) -> str:

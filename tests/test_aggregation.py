@@ -373,6 +373,14 @@ class TestGenerateWeights:
         with pytest.raises(ValueError):
             generate_weights(0.5, 0)
 
+    @pytest.mark.parametrize("k", [2.5, True, 2.0])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="^K must be an integer"):
+            generate_weights(0.5, k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert generate_weights(0.5, np.int64(3)) == generate_weights(0.5, 3)
+
 
 def test_rank_weights_type_carries_permutation():
     rw = rank_weights(V4, P4, (2, 0, 1, 3))

@@ -115,6 +115,12 @@ class TestAssignment:
         sol, obj = solve_assignment(cost, PartialFixing(frozenset(), frozenset({0})))
         assert sol.chosen == (1, 2) and obj == 18.0
 
+    def test_forced_out_edge_with_negative_costs(self):
+        # a forced-out edge is never matched, whatever the signs of the costs
+        cost = np.array([[-10.0, 10.0], [10.0, -10.0]])
+        sol, obj = solve_assignment(cost, PartialFixing(frozenset(), frozenset({0})))
+        assert sol.chosen == (1, 2) and obj == 20.0
+
     def test_non_extendable_fixing(self):
         cost = np.ones((2, 2))
         with pytest.raises(FeasibilityError):

@@ -5,6 +5,7 @@ import pytest
 
 from wowaopt import (
     ExperimentConfig,
+    InstanceFormatError,
     SplitMix64,
     gen_instance,
     instance_seed,
@@ -179,6 +180,17 @@ class TestGenInstance:
         with pytest.raises(ValueError, match="q"):
             gen_instance("assignment", 3, 2, 0.1, 1, q=5)
 
+    @pytest.mark.parametrize("size, k, named", [
+        (5, 2.0, "K"), (5, 2.5, "K"), (5, True, "K"), (5.0, 2, "size"), (True, 2, "size"),
+    ])
+    def test_size_and_k_must_be_integers(self, size, k, named):
+        with pytest.raises(ValueError, match=f"^{named} must be an integer"):
+            gen_instance("selection", size, k, 0.5, 1)
+
+    @pytest.mark.parametrize("kind", ["selection", "assignment"])
+    def test_numpy_integer_size_and_k_accepted(self, kind):
+        assert gen_instance(kind, np.int64(4), np.int32(3), 0.5, 1) == gen_instance(kind, 4, 3, 0.5, 1)
+
 
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(kind="selection", size=10, k_values=(2,), alphas=(1e-2,),
@@ -218,6 +230,13 @@ class TestExperimentConfig:
         doc = {"kind": "selection", "size": 10, field: value}
         with pytest.raises(ValueError, match=f"^{field}:"):
             ExperimentConfig.from_dict(doc)
+
+    def test_json_type_errors_are_instance_format_errors(self):
+        # one checker serves instance documents and configs
+        with pytest.raises(InstanceFormatError, match=r"^kind: expected a JSON string, got 1$"):
+            ExperimentConfig.from_dict({"kind": 1, "size": 5})
+        with pytest.raises(InstanceFormatError, match=r"^K: expected a JSON integer, got 2\.9$"):
+            ExperimentConfig.from_dict({"kind": "selection", "size": 5, "K": [2.9]})
 
     def test_infinite_time_limit_is_accepted(self):
         assert small_config(time_limit=float("inf")).time_limit == float("inf")
