@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from conftest import random_instance
 from oracles import lj_by_vertex_enumeration
 from wowaopt import (
+    Assignment,
+    Explicit,
     PartialFixing,
     ProbabilityVector,
     ScenarioInstance,
@@ -159,6 +162,102 @@ class TestBruteForce:
 
     def test_pareto_not_checked_by_default(self, paths_instance):
         assert brute_force(paths_instance).optimal_is_pareto is None
+
+
+def _pin_costs(rng, k: int, n: int, style: int) -> np.ndarray:
+    # integers in 0..100, tie-heavy integers in 0..3, fractions scaled by 10^U(-6, 6)
+    if style == 0:
+        return rng.randint(0, 101, size=(k, n)).astype(float)
+    if style == 1:
+        return rng.randint(0, 4, size=(k, n)).astype(float)
+    return rng.random_sample((k, n)) * 10.0 ** rng.uniform(-6, 6)
+
+
+def _pin_instance(rng, kind, n: int, k: int, style: int) -> ScenarioInstance:
+    numer = rng.randint(1, 101, size=k)
+    shape = rng.randint(3)
+    if shape == 0:
+        v = generate_weights(10.0 ** rng.uniform(-4, -0.5), k)
+    elif shape == 1:  # any weights, nonincreasing or not
+        v = rng.random_sample(k) + 1e-3
+        v = v / v.sum()
+    else:  # the weighted maximum, whose optima need not be Pareto efficient
+        v = np.eye(k)[0]
+    return ScenarioInstance(_pin_costs(rng, k, n, style), numer / numer.sum(), v, kind)
+
+
+def _pin_outcome(inst: ScenarioInstance) -> str:
+    res = brute_force(inst, check_pareto=True)
+    return repr((res.objective.hex(), res.solution.chosen, res.optimal_is_pareto))
+
+
+def _selection_brute_outcomes():
+    rng = np.random.RandomState(3030)
+    for n in range(1, 15):
+        for q in range(1, n + 1):
+            k = (1, 2, 3, 5, 10)[q % 5]
+            for style in range(3):
+                yield _pin_outcome(_pin_instance(rng, Selection(q=q), n, k, style))
+
+
+def _selection_k1_brute_outcomes():
+    # at K=1 the sum over q >= 8 chosen costs is where pairwise summation shows
+    rng = np.random.RandomState(3031)
+    for n in range(8, 15):
+        for q in range(8, n + 1):
+            for style in range(3):
+                yield _pin_outcome(_pin_instance(rng, Selection(q=q), n, 1, style))
+
+
+def _assignment_brute_outcomes():
+    rng = np.random.RandomState(3032)
+    for m in range(1, 8):
+        for k in (1, 2, 5, 10):
+            for style in range(3):
+                yield _pin_outcome(_pin_instance(rng, Assignment(m=m), m * m, k, style))
+
+
+def _explicit_solutions(rng, n: int, count: int, shape: int) -> list:
+    # ragged lengths, alternating lengths, or one length with an empty solution
+    lengths = {
+        0: lambda i: rng.randint(0, n + 1),
+        1: lambda i: (2, 5)[i % 2],
+        2: lambda i: 0 if i == count // 2 else 4,
+    }[shape]
+    return [rng.choice(n, size=lengths(i), replace=False).tolist() for i in range(count)]
+
+
+def _explicit_brute_outcomes():
+    rng = np.random.RandomState(3033)
+    for count in (1, 2, 7, 300, 2048, 2049, 5000):
+        for shape in range(3):
+            for style in range(3):
+                n = rng.randint(6, 15)
+                kind = Explicit(tuple(map(tuple, _explicit_solutions(rng, n, count, shape))))
+                yield _pin_outcome(_pin_instance(rng, kind, n, (1, 3, 10)[style], style))
+
+
+# sha256 over (objective.hex(), chosen, optimal_is_pareto) of brute_force with
+# check_pareto on seeded instances.  Which of several equal optima brute force
+# returns depends on its enumeration order, so any change to that order, to
+# the cost sums or to the kernel shows here.
+_BRUTE_PINS = {
+    "assignment": (_assignment_brute_outcomes,
+                  "a1a94e5fef66f2047d7b75f2a2e0033a5262aa6e01a88d73c444ee97fc7acaea"),
+    "explicit": (_explicit_brute_outcomes,
+                "a3f4b187a6b96dac4ecbc7961a7eb7d440b0f8fd3da72726a9e6dd590ed6766b"),
+    "selection": (_selection_brute_outcomes,
+                 "cd816a391857e226dfbd15a930ce2007a907216bb507b60bd3bdc30450782979"),
+    "selection-k1": (_selection_k1_brute_outcomes,
+                    "4d4b287a79a65380adaf8151263e4f86cd0ea5fc4a88854ce2c0240d92c390c4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRUTE_PINS))
+def test_brute_force_outcomes_are_pinned(name):
+    outcomes, digest = _BRUTE_PINS[name]
+    text = "\n".join(outcomes())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # (kind, size, K, alpha, seed, node_count, objective.hex()) of exact_bb on
