@@ -57,6 +57,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_k(k) -> None:
+    # the scenario count of a generated vector: a positive integer
+    if not _is_int(k):
+        raise ValueError(f"K must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"K must be positive, got {k!r}")
+
+
 def _nonincreasing(arr: np.ndarray) -> bool:
     # one exact rule for WeightVector.is_nonincreasing and DistortionFunction.is_concave
     return bool(np.all(arr[:-1] >= arr[1:]))
@@ -103,6 +111,7 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, k: int) -> "WeightVector":
+        _check_k(k)
         return cls([1.0 / k] * k)
 
     @cached_property
@@ -144,6 +153,7 @@ class ProbabilityVector:
 
     @classmethod
     def uniform(cls, k: int) -> "ProbabilityVector":
+        _check_k(k)
         return cls([1.0 / k] * k)
 
     @cached_property
@@ -222,8 +232,10 @@ def _coerce_p(p) -> ProbabilityVector:
 
 
 def _cumulate(p: np.ndarray, order) -> np.ndarray:
-    # P_j along axis 0 in this order, clamped so float drift stays in w*'s domain [0, 1]
-    return np.clip(np.cumsum(p[order], axis=0), 0.0, 1.0)
+    # P_j along axis 0 in this order, clamped so float drift stays in w*'s
+    # domain [0, 1]; the sums of positive p are never below 0
+    cum = np.cumsum(p[order], axis=0)
+    return np.minimum(cum, 1.0, out=cum)
 
 
 def _worst_first(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +289,7 @@ def wowa_batch(a_columns: np.ndarray, v, p) -> np.ndarray:
     if v.k != p.k:
         raise ValueError(f"v has {v.k} components but p has {p.k}")
     order, cum = _worst_first(A, p._array)
-    sa = np.take_along_axis(A, order, axis=0)
+    sa = A[order, np.arange(A.shape[1])]
     omega = _rank_omegas(v, cum)
     # Accumulate row by row so the float result is independent of the batch
     # width; numpy reductions change association with shape otherwise.
@@ -330,10 +342,7 @@ def generate_weights(alpha: float, k: int) -> WeightVector:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not _is_int(k):
-        raise ValueError(f"K must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"K must be positive, got {k!r}")
+    _check_k(k)
     z = np.arange(k + 1) / k
     v = np.diff((1.0 - alpha**z) / (1.0 - alpha))
     # The rounding error of 1 - alpha**z, about 1e-16 / (1 - alpha) after the

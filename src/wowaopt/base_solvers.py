@@ -21,6 +21,7 @@ __all__ = [
     "PartialFixing",
     "NO_FIXING",
     "ProblemKind",
+    "BLOCK_ROWS",
     "solve_selection",
     "solve_assignment",
     "solve_with_costs",
@@ -69,6 +70,8 @@ class PartialFixing:
 
 NO_FIXING = PartialFixing()
 
+BLOCK_ROWS = 2048  # the most feasible solutions one block of ProblemKind.enumerate holds
+
 
 class ProblemKind:
     """Base class of the feasible sets over elements 0..n-1; a kind is one subclass.
@@ -80,7 +83,12 @@ class ProblemKind:
     * ``check(sol)``: raise FeasibilityError unless sol is feasible (its
       indices are already known to be in range);
     * ``size(n)`` and ``enumerate(n)``: how many feasible solutions there
-      are, and each of them once as a sorted tuple of indices;
+      are, and each of them once, as the rows of 2-D integer arrays
+      ("blocks") of at most ``BLOCK_ROWS`` rows, each row's indices
+      ascending.  The order is fixed (brute force returns the first of equal
+      optima in it): selection and assignment yield their solutions in
+      lexicographic order, in full blocks but the last, and explicit in list
+      order, one block per run of equal-length solutions;
     * ``solve(costs, fix)``: the cheapest feasible (Solution, cost) under a
       flat n-vector of costs and a partial fixing, raising FeasibilityError
       when the fixing has no feasible completion;

@@ -21,7 +21,7 @@ import numpy as np
 
 from .aggregation import NonIncreasingWeightsError, _rank_omegas, _worst_first, wowa_batch
 from .approx import approx_solve
-from .base_solvers import FeasibilityError, PartialFixing, Solution, solve_with_costs
+from .base_solvers import BLOCK_ROWS, FeasibilityError, PartialFixing, Solution, solve_with_costs
 from .model import ScenarioInstance, scenario_costs
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "search_space_size",
 ]
 
-_CHUNK = 2048
 BRUTE_FORCE_LIMIT = 10**6  # the largest search space brute_force enumerates
 
 
@@ -49,20 +48,28 @@ def search_space_size(inst: ScenarioInstance) -> int:
     return inst.kind.size(inst.n)
 
 
-def _chunks(inst: ScenarioInstance) -> Iterator[list[tuple[int, ...]]]:
-    feasible = inst.kind.enumerate(inst.n)
-    while chunk := list(itertools.islice(feasible, _CHUNK)):
-        yield chunk
+def _cost_vectors(inst: ScenarioInstance, block: np.ndarray) -> np.ndarray:
+    # the K-by-S scenario costs of a block's rows, equal to scenario_costs bit for bit
+    return inst.costs[:, block].sum(axis=2)
 
 
-def _batched_cost_vectors(inst: ScenarioInstance, subsets: list[tuple[int, ...]]) -> np.ndarray:
-    # All subsets in one chunk have equal cardinality for the built-in
-    # kinds; explicit sets may be ragged and are summed one by one.
-    sizes = {len(s) for s in subsets}
-    if len(sizes) == 1 and sizes != {0}:
-        idx = np.asarray(subsets, dtype=int)
-        return inst.costs[:, idx].sum(axis=2)
-    return np.column_stack([scenario_costs(inst, Solution(s), check=False) for s in subsets])
+def _kernel_batches(inst: ScenarioInstance) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """The enumerated blocks in kernel-call batches, with their scenario costs side by side.
+
+    Consecutive blocks are joined until they hold BLOCK_ROWS solutions, so
+    that short blocks (an explicit list of ragged lengths) share kernel calls;
+    every full block is a batch of its own.
+    """
+    blocks: list[np.ndarray] = []
+    rows = 0
+    for block in inst.kind.enumerate(inst.n):
+        blocks.append(block)
+        rows += len(block)
+        if rows >= BLOCK_ROWS:
+            yield blocks, np.hstack([_cost_vectors(inst, b) for b in blocks])
+            blocks, rows = [], 0
+    if blocks:
+        yield blocks, np.hstack([_cost_vectors(inst, b) for b in blocks])
 
 
 def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResult:
@@ -78,13 +85,17 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
             f"search space has {size} solutions, exceeding the limit of {BRUTE_FORCE_LIMIT}"
         )
     best_val = np.inf
-    best_sub: Optional[tuple[int, ...]] = None
-    for chunk in _chunks(inst):
-        values = wowa_batch(_batched_cost_vectors(inst, chunk), inst.v, inst.p)
+    best_sub: Optional[list[int]] = None
+    for blocks, costs in _kernel_batches(inst):
+        values = wowa_batch(costs, inst.v, inst.p)
         s = int(np.argmin(values))
         if values[s] < best_val:
             best_val = float(values[s])
-            best_sub = chunk[s]
+            for block in blocks:
+                if s < len(block):
+                    best_sub = block[s].tolist()
+                    break
+                s -= len(block)
     if best_sub is None:
         raise FeasibilityError("instance has no feasible solution")
 
@@ -92,13 +103,13 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
     if check_pareto:
         best_costs = scenario_costs(inst, Solution(best_sub), check=False)
 
-        def dominated(chunk) -> bool:
-            A = _batched_cost_vectors(inst, chunk)
+        def dominated(block) -> bool:
+            A = _cost_vectors(inst, block)
             le = np.all(A <= best_costs[:, None], axis=0)
             lt = np.any(A < best_costs[:, None], axis=0)
             return bool(np.any(le & lt))
 
-        pareto = not any(dominated(chunk) for chunk in _chunks(inst))
+        pareto = not any(dominated(block) for block in inst.kind.enumerate(inst.n))
 
     return ExactResult(
         solution=Solution(best_sub),

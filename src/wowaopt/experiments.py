@@ -184,12 +184,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown exact method {self.method!r}")
         if self.lp_dir is not None and self.method != "lp-only":
             raise ValueError(f"lp_dir: only method lp-only writes LP files, got {self.method!r}")
+        for key, value in (("size", self.size), ("instances", self.instances), ("seed", self.seed)):
+            if not _is_int(value):
+                raise ValueError(f"{key}: must be an integer, got {value!r}")
         if self.instances < 1 or self.size < 1:
             raise ValueError("instances and size must be positive")
         for key, values in (("K", self.k_values), ("alpha", self.alphas)):
             if len(set(values)) != len(values):  # a repeated cell would run twice
                 raise ValueError(f"{key}: repeated value in {list(values)!r}")
         for k in self.k_values:
+            if not _is_int(k):
+                raise ValueError(f"K: K must be an integer, got {k!r}")
             if not k >= 1:
                 raise ValueError(f"K: K must be at least 1, got {k!r}")
         for alpha in self.alphas:

@@ -21,7 +21,7 @@ import numpy as np
 from . import base_solvers
 from .aggregation import ProbabilityVector, RankWeights, WeightVector, wowa_batch
 from .aggregation import _is_int, _rank_omegas, _worst_first
-from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
+from .base_solvers import BLOCK_ROWS, FeasibilityError, PartialFixing, ProblemKind, Solution
 
 __all__ = [
     "FORMAT_VERSION",
@@ -106,6 +106,12 @@ def _cost_matrix(costs) -> np.ndarray:
     return raw.astype(float)
 
 
+def _rank_blocks(size: int) -> Iterator[np.ndarray]:
+    # the ranks 0..size-1 in runs of BLOCK_ROWS
+    for start in range(0, size, BLOCK_ROWS):
+        yield np.arange(start, min(start + BLOCK_ROWS, size))
+
+
 # The solves look the base solvers up on their module at call time, so a
 # wrapper installed there sees every call.
 
@@ -131,8 +137,21 @@ class Selection(ProblemKind):
     def size(self, n: int) -> int:
         return comb(n, self.q)
 
-    def enumerate(self, n: int) -> Iterator[tuple[int, ...]]:
-        return itertools.combinations(range(n), self.q)
+    def enumerate(self, n: int) -> Iterator[np.ndarray]:
+        # Lexicographic rank r of a q-subset c is colexicographic rank
+        # size - 1 - r of its reflection {n - 1 - i : i in c}, which the
+        # combinatorial number system decodes largest element first: the
+        # largest x with C(x, k) <= rest, for k = q down to 1.
+        q, size = self.q, self.size(n)
+        table = np.array([[min(comb(x, k), size) for x in range(n)] for k in range(q + 1)])
+        for ranks in _rank_blocks(size):
+            rest = size - 1 - ranks
+            block = np.empty((ranks.size, q), dtype=np.intp)
+            for j in range(q):
+                x = np.searchsorted(table[q - j], rest, side="right") - 1
+                rest -= table[q - j, x]
+                block[:, j] = n - 1 - x
+            yield block
 
     def solve(self, costs, fix):
         return base_solvers.solve_selection(costs, self.q, fix)
@@ -180,10 +199,19 @@ class Assignment(ProblemKind):
     def size(self, n: int) -> int:
         return factorial(self.m)
 
-    def enumerate(self, n: int) -> Iterator[tuple[int, ...]]:
+    def enumerate(self, n: int) -> Iterator[np.ndarray]:
+        # The permutations of the columns in lexicographic order, from the
+        # Lehmer code of each rank: digit r ranks row r's column among the
+        # columns rows 0..r-1 left free, and raising each later digit past
+        # every earlier column it reaches, right to left, makes it the column.
         m = self.m
-        for perm in itertools.permutations(range(m)):
-            yield tuple(r * m + perm[r] for r in range(m))
+        radix = np.array([factorial(m - 1 - r) for r in range(m)])
+        for ranks in _rank_blocks(self.size(n)):
+            block = ranks[:, None] // radix % np.arange(m, 0, -1)
+            for r in range(m - 2, -1, -1):
+                tail = block[:, r + 1:]
+                tail += tail >= block[:, r:r + 1]
+            yield block + np.arange(m) * m
 
     def solve(self, costs, fix):
         return base_solvers.solve_assignment(costs.reshape(self.m, self.m), fix)
@@ -235,8 +263,12 @@ class Explicit(ProblemKind):
     def size(self, n: int) -> int:
         return len(self.solutions)
 
-    def enumerate(self, n: int) -> Iterator[tuple[int, ...]]:
-        return iter(self.solutions)
+    def enumerate(self, n: int) -> Iterator[np.ndarray]:
+        for length, run in itertools.groupby(self.solutions, len):
+            run = list(run)
+            for start in range(0, len(run), BLOCK_ROWS):
+                rows = run[start:start + BLOCK_ROWS]
+                yield np.array(rows, dtype=np.intp).reshape(len(rows), length)
 
     def solve(self, costs, fix):
         compatible = [s for s in self.solutions

@@ -62,6 +62,21 @@ class TestVectorTypes:
         with pytest.raises(ValueError):
             ProbabilityVector([0.5, 0.4])
 
+    @pytest.mark.parametrize("make", [WeightVector, ProbabilityVector])
+    @pytest.mark.parametrize("k, message", [
+        (2.5, "^K must be an integer"),
+        (True, "^K must be an integer"),
+        (2.0, "^K must be an integer"),
+        (0, "^K must be positive"),
+    ])
+    def test_uniform_needs_a_positive_integer_k(self, make, k, message):
+        with pytest.raises(ValueError, match=message):
+            make.uniform(k)
+
+    @pytest.mark.parametrize("make", [WeightVector, ProbabilityVector])
+    def test_uniform_accepts_numpy_integer_k(self, make):
+        assert make.uniform(np.int64(4)) == make.uniform(4) == make([0.25] * 4)
+
 
 class TestDistortion:
     def test_breakpoints_are_exact_cumulative_sums(self):

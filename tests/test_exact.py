@@ -20,6 +20,7 @@ from wowaopt import (
     exact_bb,
     gen_instance,
     generate_weights,
+    instance_seed,
     scenario_costs,
     search_space_size,
     solve_selection,
@@ -315,6 +316,14 @@ class TestBranchAndBound:
         for _ in range(30):
             inst = random_instance(rng, "assignment", 5, 4)
             assert exact_bb(inst).objective == brute_force(inst).objective
+
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-4])
+    def test_matches_brute_force_at_desk_scale_assignment(self, alpha):
+        # the assignment m=8, K=10 instances of the desk-scale grid (seed 2)
+        for index in range(10):
+            seed = instance_seed(2, "assignment", 8, 10, alpha, index)
+            inst = gen_instance("assignment", 8, 10, alpha, seed)
+            assert exact_bb(inst).objective.hex() == brute_force(inst).objective.hex(), index
 
     def test_uniform_v_closes_at_root(self):
         rng = np.random.RandomState(7)

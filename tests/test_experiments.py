@@ -214,6 +214,14 @@ class TestExperimentConfig:
         ("time_limit", float("nan"), "time_limit:"),
         ("instances", 0, "instances"),
         ("size", 0, "size"),
+        ("size", 6.0, "size:"),
+        ("size", True, "size:"),
+        ("instances", 3.0, "instances:"),
+        ("seed", 5.0, "seed:"),
+        ("seed", None, "seed:"),
+        ("k_values", (2.0,), "K:"),
+        ("k_values", (2, True), "K:"),
+        ("k_values", (2.5,), "K:"),
         ("kind", "tree", "kind"),
         ("method", "milp", "method"),
         ("lp_dir", "lp", "lp_dir:"),  # small_config's method is brute

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import PATHS_COSTS, PATHS_P, PATHS_FEASIBLE, PATHS_V
 from oracles import ref_wowa
 from test_mip import _pinned_lp_instances
+from wowaopt.base_solvers import BLOCK_ROWS
 from wowaopt import (
     Assignment,
     Explicit,
@@ -370,7 +372,7 @@ def test_float_fields_must_be_json_numbers(field, path, bad):
 )
 def test_kind_methods_agree_with_enumeration(kind, n):
     inst = ScenarioInstance(np.zeros((1, n)), [1.0], [1.0], kind)
-    feasible = list(kind.enumerate(n))
+    feasible = [tuple(row) for block in kind.enumerate(n) for row in block.tolist()]
     assert len(feasible) == kind.size(n) == len(set(feasible))
     for sol in feasible:
         check_feasible(inst, Solution(sol))
@@ -392,6 +394,45 @@ def test_kind_methods_agree_with_enumeration(kind, n):
         assert sol.chosen in compatible
         assert value == costs[list(sol.chosen)].sum()
         assert value == min(costs[list(s)].sum() for s in compatible)
+
+
+def _enumerated(kind, n) -> list:
+    blocks = list(kind.enumerate(n))
+    for block in blocks:
+        assert block.ndim == 2 and block.dtype.kind == "i" and 1 <= len(block) <= BLOCK_ROWS
+    return blocks
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(1, 11) for q in range(1, n + 1)]
+                         + [(14, 7), (16, 5), (24, 6)])
+def test_selection_blocks_are_the_combinations_in_order(n, q):
+    blocks = _enumerated(Selection(q=q), n)
+    # full blocks but the last, so brute force's kernel calls have full width
+    assert [len(b) for b in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
+    rows = [row for block in blocks for row in block.tolist()]
+    assert rows == [list(c) for c in itertools.combinations(range(n), q)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_assignment_blocks_are_the_permutations_in_order(m):
+    blocks = _enumerated(Assignment(m=m), m * m)
+    assert [len(b) for b in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
+    rows = [row for block in blocks for row in block.tolist()]
+    assert rows == [[r * m + perm[r] for r in range(m)]
+                    for perm in itertools.permutations(range(m))]
+
+
+def test_explicit_blocks_are_runs_of_equal_length_in_list_order():
+    rng = np.random.RandomState(13)
+    lengths = [3] * 5000 + [0, 0, 2, 4, 2, 0] + [1] * 2048 + [5, 5]
+    solutions = tuple(tuple(rng.choice(9, size=k, replace=False).tolist()) for k in lengths)
+    kind = Explicit(solutions)
+    blocks = _enumerated(kind, 9)
+    assert [b.shape for b in blocks] == [
+        (2048, 3), (2048, 3), (904, 3), (2, 0), (1, 2), (1, 4), (1, 2), (1, 0),
+        (2048, 1), (2, 5),
+    ]
+    assert [tuple(row) for block in blocks for row in block.tolist()] == list(kind.solutions)
 
 
 def test_instances_expose_immutable_costs(paths_instance):
