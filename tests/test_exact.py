@@ -221,7 +221,7 @@ def _assignment_brute_outcomes():
 def _explicit_solutions(rng, n: int, count: int, shape: int) -> list:
     # ragged lengths, alternating lengths, or one length with an empty solution
     lengths = {
-        0: lambda i: rng.randint(0, n + 1),
+        0: lambda i: rng.randint(1, n + 1),
         1: lambda i: (2, 5)[i % 2],
         2: lambda i: 0 if i == count // 2 else 4,
     }[shape]
@@ -235,7 +235,8 @@ def _explicit_brute_outcomes():
             for style in range(3):
                 n = rng.randint(6, 15)
                 kind = Explicit(tuple(map(tuple, _explicit_solutions(rng, n, count, shape))))
-                yield _pin_outcome(_pin_instance(rng, kind, n, (1, 3, 10)[style], style))
+                # tie-heavy costs at K=1 tie many solutions
+                yield _pin_outcome(_pin_instance(rng, kind, n, (2, 1, 10)[style], style))
 
 
 # sha256 over (objective.hex(), chosen, optimal_is_pareto) of brute_force with
@@ -246,7 +247,7 @@ _BRUTE_PINS = {
     "assignment": (_assignment_brute_outcomes,
                   "a1a94e5fef66f2047d7b75f2a2e0033a5262aa6e01a88d73c444ee97fc7acaea"),
     "explicit": (_explicit_brute_outcomes,
-                "a3f4b187a6b96dac4ecbc7961a7eb7d440b0f8fd3da72726a9e6dd590ed6766b"),
+                "49ee939474ca965f4ca82ffd752900a98c8606688b45837585578d2c8981878a"),
     "selection": (_selection_brute_outcomes,
                  "cd816a391857e226dfbd15a930ce2007a907216bb507b60bd3bdc30450782979"),
     "selection-k1": (_selection_k1_brute_outcomes,
