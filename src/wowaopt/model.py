@@ -200,10 +200,10 @@ class Assignment(ProblemKind):
         return factorial(self.m)
 
     def enumerate(self, n: int) -> Iterator[np.ndarray]:
-        # The permutations of the columns in lexicographic order, from the
-        # Lehmer code of each rank: digit r ranks row r's column among the
-        # columns rows 0..r-1 left free, and raising each later digit past
-        # every earlier column it reaches, right to left, makes it the column.
+        # The permutations of the columns in lexicographic order, decoded
+        # from the Lehmer code of each rank: digit r is row r's column among
+        # those rows 0..r-1 left free.  Working right to left, every later
+        # entry at or above row r's moves up by one.
         m = self.m
         radix = np.array([factorial(m - 1 - r) for r in range(m)])
         for ranks in _rank_blocks(self.size(n)):

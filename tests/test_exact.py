@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_instance
 from oracles import lj_by_vertex_enumeration
+from test_base_solvers import _pin_costs
 from wowaopt import (
     Assignment,
     Explicit,
@@ -165,15 +166,6 @@ class TestBruteForce:
         assert brute_force(paths_instance).optimal_is_pareto is None
 
 
-def _pin_costs(rng, k: int, n: int, style: int) -> np.ndarray:
-    # integers in 0..100, tie-heavy integers in 0..3, fractions scaled by 10^U(-6, 6)
-    if style == 0:
-        return rng.randint(0, 101, size=(k, n)).astype(float)
-    if style == 1:
-        return rng.randint(0, 4, size=(k, n)).astype(float)
-    return rng.random_sample((k, n)) * 10.0 ** rng.uniform(-6, 6)
-
-
 def _pin_instance(rng, kind, n: int, k: int, style: int) -> ScenarioInstance:
     numer = rng.randint(1, 101, size=k)
     shape = rng.randint(3)
@@ -184,7 +176,7 @@ def _pin_instance(rng, kind, n: int, k: int, style: int) -> ScenarioInstance:
         v = v / v.sum()
     else:  # the weighted maximum, whose optima need not be Pareto efficient
         v = np.eye(k)[0]
-    return ScenarioInstance(_pin_costs(rng, k, n, style), numer / numer.sum(), v, kind)
+    return ScenarioInstance(_pin_costs(rng, (k, n), style), numer / numer.sum(), v, kind)
 
 
 def _pin_outcome(inst: ScenarioInstance) -> str:
