@@ -290,12 +290,12 @@ def wowa_batch(a_columns: np.ndarray, v, p) -> np.ndarray:
         raise ValueError(f"v has {v.k} components but p has {p.k}")
     order, cum = _worst_first(A, p._array)
     sa = A[order, np.arange(A.shape[1])]
-    omega = _rank_omegas(v, cum)
+    terms = _rank_omegas(v, cum) * sa
     # Accumulate row by row so the float result is independent of the batch
     # width; numpy reductions change association with shape otherwise.
     out = np.zeros(A.shape[1])
-    for k in range(A.shape[0]):
-        out += omega[k] * sa[k]
+    for row in terms:
+        out += row
     return out
 
 

@@ -10,6 +10,7 @@ the feasible sets; the kinds themselves are in ``wowaopt.model``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -132,10 +133,10 @@ def solve_selection(costs, q: int, fix: PartialFixing = NO_FIXING) -> tuple[Solu
 
 def _hungarian(cost: list[list[float]]) -> list[int]:
     # O(m^3) shortest-augmenting-path form with row/column potentials.
-    # Columns are scanned in ascending order with strict improvement, so
-    # ties resolve to the lexicographically first matching by row.  An
-    # entry of +inf is a forbidden edge: a search that reaches no column at
-    # a finite distance proves that no perfect matching avoids them.
+    # The result is optimal and deterministic: of tied optima it returns the
+    # same one on every call, not necessarily the lexicographically first.
+    # An entry of +inf is a forbidden edge: a search that reaches no column
+    # at a finite distance proves that no perfect matching avoids them.
     m = len(cost)
     INF = float("inf")
     u = [0.0] * (m + 1)
@@ -205,14 +206,18 @@ def solve_assignment(cost_matrix, fix: PartialFixing = NO_FIXING) -> tuple[Solut
 
     free_rows = [r for r in range(m) if r not in rows_used]
     free_cols = [col for col in range(m) if col not in cols_used]
+    rows = c.tolist()
     chosen = list(fix.forced_in)
     if free_rows:
-        reduced = c.copy()
-        reduced.flat[list(fix.forced_out)] = np.inf
-        row_to_col = _hungarian(reduced[np.ix_(free_rows, free_cols)].tolist())
+        out = fix.forced_out
+        reduced = [[math.inf if r * m + col in out else rows[r][col] for col in free_cols]
+                   for r in free_rows]
+        row_to_col = _hungarian(reduced)
         chosen += [free_rows[r] * m + free_cols[col] for r, col in enumerate(row_to_col)]
     sol = Solution(chosen)
-    total = float(sum(c[divmod(e, m)] for e in sol.chosen))
+    total = 0.0
+    for e in sol.chosen:  # in index order, one add at a time
+        total += rows[e // m][e % m]
     return sol, total
 
 

@@ -133,54 +133,68 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
 # weights of the running average of the completions' costs (fictitious play;
 # the latest completion alone makes w cycle), and a child continues from its
 # parent's final (w, average) at step _FW_STEPS; the root starts from p.
-# Every relaxation solve also yields a feasible completion; the node's
-# distinct completions are evaluated together, in one kernel call, to
-# improve the incumbent for free.
+# Every relaxation solve also yields a feasible completion, which improves
+# the incumbent for free.  The search remembers each completion it meets
+# with its scenario costs, so each is costed once and evaluated once: a
+# node passes only the completions new to the search to the kernel, in one
+# call.  A child also reuses its parent's last solve as its first when its
+# fixing admits that completion: the solve was optimal on a superset under
+# the same w, so it is optimal for the child too.
 # ---------------------------------------------------------------------------
 
 _FW_STEPS = 6
 
 
 class _BBContext:
-    """Per-instance precomputation shared by all nodes."""
+    """Per-search state: the instance's arrays and the completions met so far."""
 
     def __init__(self, inst: ScenarioInstance):
         self.inst = inst
         self.C = np.asarray(inst.costs)
         self.p = inst.p.as_array()
         self.spread = self.C.max(axis=0) - self.C.min(axis=0)
+        # chosen -> (Solution, scenario costs) of each completion a node returned
+        self.met: dict[tuple[int, ...], tuple[Solution, np.ndarray]] = {}
 
     def node_bound(self, fix: PartialFixing, target: float, warm=None):
         """Frank-Wolfe-refined lower bound, cut short once it reaches target.
 
-        Starts from ``warm``, the parent's final (w, avg), or from (p, None).
-        Returns the bound, the completion that attained it, the node's distinct
-        completions with their K-by-S matrix of scenario costs, and (w, avg).
+        Starts from ``warm``, the parent's final (w, avg, last solve), or from
+        (p, None, None); the parent's last (Solution, value) is the first solve
+        when the fixing admits it.  Returns the bound, the completion that
+        attained it, the (Solution, scenario costs) of the node's completions
+        that the search had not met before, and the warm state of its children.
         """
         inst = self.inst
         bound = -np.inf
         best_completion: Optional[tuple[int, ...]] = None
-        found: dict[tuple[int, ...], tuple[Solution, np.ndarray]] = {}
-        w_scen, avg = warm or (self.p, None)
+        new: list[tuple[Solution, np.ndarray]] = []
+        w_scen, avg, last = warm or (self.p, None, None)
+        reuse = (last is not None and fix.forced_in.issubset(last[0].chosen)
+                 and fix.forced_out.isdisjoint(last[0].chosen))
         offset = 0 if avg is None else _FW_STEPS
         for step in range(_FW_STEPS):
-            sol, value = solve_with_costs(inst.kind, w_scen @ self.C, fix)
+            if step == 0 and reuse:
+                sol, value = last  # optimal on a superset under the same w
+            else:
+                sol, value = solve_with_costs(inst.kind, w_scen @ self.C, fix)
             if value > bound:
                 bound = value
                 best_completion = sol.chosen
-            if sol.chosen not in found:
-                found[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
+            entry = self.met.get(sol.chosen)
+            if entry is None:
+                entry = self.met[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
+                new.append(entry)
             if bound >= target or step == _FW_STEPS - 1:
                 break
             gamma = 2.0 / (offset + step + 2.0)
-            costs = found[sol.chosen][1]
-            avg = costs if avg is None else (1.0 - gamma) * avg + gamma * costs
+            avg = entry[1] if avg is None else (1.0 - gamma) * avg + gamma * entry[1]
             pi, cum = _worst_first(avg, self.p)
             direction = np.empty(inst.K)
             direction[pi] = _rank_omegas(inst.v, cum)
             w_scen = (1.0 - gamma) * w_scen + gamma * direction
-        completions, costs = zip(*found.values())
-        return bound, best_completion, completions, np.column_stack(costs), (w_scen, avg)
+        # the loop ends on a solve, so (sol, value) is the solve under w_scen
+        return bound, best_completion, new, (w_scen, avg, (sol, value))
 
     def branch_element(self, fix: PartialFixing, completion) -> Optional[int]:
         """Undecided element with the largest scenario-cost spread.
@@ -242,15 +256,18 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             break
         node_count += 1
         try:
-            bound, completion, sols, costs, warm = ctx.node_bound(fix, best_val - margin(), warm)
+            bound, completion, new, warm = ctx.node_bound(fix, best_val - margin(), warm)
         except FeasibilityError:
             continue
-        # values from the shared kernel equal wowa_value bit for bit
-        values = wowa_batch(costs, inst.v, inst.p)
-        s = int(np.argmin(values))
-        if values[s] < best_val:
-            best_val = float(values[s])
-            best_sol = sols[s]
+        # a completion met before has a value no less than the incumbent
+        if new:
+            sols, costs = zip(*new)
+            # values from the shared kernel equal wowa_value bit for bit
+            values = wowa_batch(np.column_stack(costs), inst.v, inst.p)
+            s = int(np.argmin(values))
+            if values[s] < best_val:
+                best_val = float(values[s])
+                best_sol = sols[s]
         if bound >= best_val - margin():
             continue
         e = ctx.branch_element(fix, completion)

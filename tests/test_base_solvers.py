@@ -105,6 +105,19 @@ class TestAssignment:
             oracle, _ = min_assignment_by_permutations(cost.tolist())
             assert obj == oracle
 
+    def test_matches_permutation_oracle_with_ties(self):
+        # costs 0..2 tie many matchings: the one returned is optimal and the
+        # same on every call, though not always the lexicographically first
+        rng = np.random.RandomState(4)
+        for _ in range(200):
+            m = rng.randint(1, 8)
+            cost = rng.randint(0, 3, size=(m, m)).astype(float)
+            sol, obj = solve_assignment(cost)
+            oracle, _ = min_assignment_by_permutations(cost.tolist())
+            assert obj == oracle
+            assert sorted(c for _, c in sol.as_pairs(m)) == list(range(m))
+            assert solve_assignment(cost) == (sol, obj)
+
     def test_forced_in_edge(self):
         cost = np.array([[1.0, 9.0], [9.0, 1.0]])
         sol, obj = solve_assignment(cost, PartialFixing(frozenset({1}), frozenset()))

@@ -25,6 +25,7 @@ from wowaopt import (
     scenario_costs,
     search_space_size,
     solve_selection,
+    solve_with_costs,
     wowa_value,
     wowa_via_decomposition,
 )
@@ -272,6 +273,16 @@ _BB_PINS = [
 ]
 
 
+def _tie_heavy_assignment(rng, m: int) -> ScenarioInstance:
+    # costs 0..2 tie many matchings under every weight vector
+    k = rng.randint(2, 6)
+    numer = rng.randint(1, 101, size=k)
+    return ScenarioInstance(
+        rng.randint(0, 3, size=(k, m * m)).astype(float), numer / numer.sum(),
+        generate_weights(10.0 ** rng.uniform(-4, -0.5), k), Assignment(m=m),
+    )
+
+
 class TestBranchAndBound:
     @pytest.mark.parametrize(
         "kind, size, k, alpha, seed, nodes, objective", _BB_PINS,
@@ -393,7 +404,7 @@ class TestBranchAndBound:
             # a child warm-started from that state still gets a valid bound
             e3 = int(rng.choice([i for i in range(8) if i not in (e1, e2)]))
             child = PartialFixing(fix.forced_in | {e3}, fix.forced_out)
-            child_bound, *_, (w, _) = ctx.node_bound(child, np.inf, warm)
+            child_bound, *_, (w, _, _) = ctx.node_bound(child, np.inf, warm)
             child_completions = [
                 wowa_value(inst, Solution((e1, e3) + rest))
                 for rest in itertools.combinations(
@@ -403,3 +414,70 @@ class TestBranchAndBound:
             assert child_bound <= min(child_completions) + TOL
             assert np.all(w >= 0.0)
             assert abs(w.sum() - 1.0) <= SUM_TOL
+
+    def test_child_reuses_its_parents_last_solve(self, monkeypatch):
+        # the child whose fixing admits the parent's last completion takes that
+        # solve as its first and makes one base solve fewer than its sibling
+        from wowaopt import exact
+
+        fixings = []
+
+        def counting_solve(kind, costs, fix):
+            fixings.append(fix)
+            return solve_with_costs(kind, costs, fix)
+
+        monkeypatch.setattr(exact, "solve_with_costs", counting_solve)
+        rng = np.random.RandomState(13)
+        for _ in range(40):
+            inst = random_instance(rng, "selection", 10, rng.randint(2, 6), q=3)
+            ctx = exact._BBContext(inst)
+            *_, warm = ctx.node_bound(PartialFixing(), np.inf)
+            w, _, last = warm
+            e = int(rng.randint(10))
+            forced_in, forced_out = PartialFixing({e}, ()), PartialFixing((), {e})
+            admitting = forced_in if e in last[0].chosen else forced_out
+            # for selection the reused solve is the one the child would make, to the bit
+            sol, value = solve_with_costs(inst.kind, w @ ctx.C, admitting)
+            assert (sol, value.hex()) == (last[0], last[1].hex())
+            for child in (forced_in, forced_out):
+                fixings.clear()
+                ctx.node_bound(child, np.inf, warm)
+                assert len(fixings) == exact._FW_STEPS - (child is admitting)
+
+    def test_reused_solve_bounds_tie_heavy_assignment_children(self):
+        # On 0-2 costs the Hungarian may return another of the tied matchings
+        # than the reused one; every bound down to depth 3 must still hold.
+        from wowaopt.exact import _BBContext
+
+        m = 5
+        matchings = [Solution([r * m + c for r, c in enumerate(perm)])
+                     for perm in itertools.permutations(range(m))]
+        rng = np.random.RandomState(14)
+        other_tie = 0
+        for _ in range(40):
+            inst = _tie_heavy_assignment(rng, m)
+            values = [(set(sol.chosen), wowa_value(inst, sol)) for sol in matchings]
+            ctx = _BBContext(inst)
+            stack = [(PartialFixing(), None)]
+            while stack:
+                fix, warm = stack.pop()
+                bound, completion, _, child_warm = ctx.node_bound(fix, np.inf, warm)
+                assert bound <= min(
+                    value for chosen, value in values
+                    if fix.forced_in <= chosen and not fix.forced_out & chosen
+                ) + TOL
+                if warm is not None:
+                    last = warm[2][0]
+                    if fix.forced_in <= set(last.chosen) and not fix.forced_out & set(last.chosen):
+                        other_tie += solve_with_costs(inst.kind, warm[0] @ ctx.C, fix)[0] != last
+                e = ctx.branch_element(fix, completion)
+                if e is not None and len(fix.forced_in) + len(fix.forced_out) < 3:
+                    stack.append((PartialFixing(fix.forced_in | {e}, fix.forced_out), child_warm))
+                    stack.append((PartialFixing(fix.forced_in, fix.forced_out | {e}), child_warm))
+        assert other_tie > 0  # the case the test is for did occur
+
+    def test_matches_brute_force_on_tie_heavy_assignment(self):
+        rng = np.random.RandomState(15)
+        for i in range(40):
+            inst = _tie_heavy_assignment(rng, 5)
+            assert exact_bb(inst).objective == brute_force(inst).objective, i
