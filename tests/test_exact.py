@@ -232,10 +232,51 @@ def _explicit_brute_outcomes():
                 yield _pin_outcome(_pin_instance(rng, kind, n, (2, 1, 10)[style], style))
 
 
+def _pin_weights(rng, k: int, shape: str) -> np.ndarray:
+    if shape == "generated":
+        return generate_weights(10.0 ** rng.uniform(-4, -0.5), k).as_array()
+    if shape == "random":  # nonincreasing or not
+        v = rng.random_sample(k) + 1e-3
+        return v / v.sum()
+    if shape == "uniform":
+        return np.full(k, 1.0 / k)
+    return np.eye(k)[{"max": 0, "min": k - 1}[shape]]  # weighted maximum or minimum
+
+
+def _one_v_brute_outcomes(seed: int, shape: str):
+    # every selection n <= 12 and assignment m <= 6, all under one weight shape
+    rng = np.random.RandomState(seed)
+    kinds = [(Selection(q=q), n, (1, 2, 3, 5, 10)[q % 5])
+             for n in range(1, 13) for q in range(1, n + 1)]
+    kinds += [(Assignment(m=m), m * m, k) for m in range(1, 7) for k in (1, 2, 5, 10)]
+    for kind, n, k in kinds:
+        for style in range(3):
+            numer = rng.randint(1, 101, size=k)
+            inst = ScenarioInstance(_pin_costs(rng, (k, n), style), numer / numer.sum(),
+                                    _pin_weights(rng, k, shape), kind)
+            yield _pin_outcome(inst)
+
+
+def _tie_heavy_brute_outcomes():
+    # costs 0..3 on instances of several kernel batches: selection n=14, q=7
+    # (3,432 subsets) and assignment m=7 (5,040 matchings)
+    rng = np.random.RandomState(3036)
+    for kind, n in ((Selection(q=7), 14), (Assignment(m=7), 49)):
+        for k in (1, 2, 5, 10):
+            for shape in ("generated", "random", "max", "uniform", "min"):
+                numer = rng.randint(1, 101, size=k) if k % 2 else np.ones(k)
+                inst = ScenarioInstance(_pin_costs(rng, (k, n), 1), numer / numer.sum(),
+                                        _pin_weights(rng, k, shape), kind)
+                yield _pin_outcome(inst)
+
+
 # sha256 over (objective.hex(), chosen, optimal_is_pareto) of brute_force with
 # check_pareto on seeded instances.  Which of several equal optima brute force
 # returns depends on its enumeration order, so any change to that order, to
-# the cost sums or to the kernel shows here.
+# the cost sums or to the kernel shows here.  The last three families were
+# recorded when brute force still evaluated every solution: uniform weights
+# (its expected-cost bound equals the WOWA value up to rounding), the weighted
+# minimum (the bound is 0) and tie-heavy costs over several kernel batches.
 _BRUTE_PINS = {
     "assignment": (_assignment_brute_outcomes,
                   "a1a94e5fef66f2047d7b75f2a2e0033a5262aa6e01a88d73c444ee97fc7acaea"),
@@ -245,6 +286,12 @@ _BRUTE_PINS = {
                  "cd816a391857e226dfbd15a930ce2007a907216bb507b60bd3bdc30450782979"),
     "selection-k1": (_selection_k1_brute_outcomes,
                     "4d4b287a79a65380adaf8151263e4f86cd0ea5fc4a88854ce2c0240d92c390c4"),
+    "tie-heavy-batches": (_tie_heavy_brute_outcomes,
+                          "f36c20e79cb684f51efb0f94151ec4ecdd6802564f0e1aa96a3031010e162a35"),
+    "uniform-v": (lambda: _one_v_brute_outcomes(3034, "uniform"),
+                  "cb33141b8cffbbd45c0a56f4457f5fe7f67c771759f9d19f94910c60db357719"),
+    "weighted-min": (lambda: _one_v_brute_outcomes(3035, "min"),
+                     "377dab6def99764b270402aa702d08a20f8d876785b1d083c258e757c131eee4"),
 }
 
 
