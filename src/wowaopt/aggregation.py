@@ -122,6 +122,20 @@ class WeightVector:
         object.__setattr__(d, "_slopes", self.as_array())
         return d
 
+    @cached_property
+    def expectation_factor(self) -> float:
+        """The largest c with w*(t) >= c*t on [0, 1]: the minimum of K*V_j/j.
+
+        So wowa(a, v, p) >= c * (p . a) for every cost vector a >= 0 and any
+        p: by Abel summation WOWA is the sum of (a_(j) - a_(j+1)) * w*(P_j)
+        over the costs sorted worst first (a_(K+1) = 0), and w*(t)/t is
+        monotone on each linear piece of w*, so smallest at a breakpoint j/K.
+        c is 1 (up to rounding) for nonincreasing weights and 0 for the
+        weighted minimum.
+        """
+        bp = self.distortion._bp
+        return float(np.min(bp[1:] * self.k / np.arange(1, self.k + 1)))
+
 
 @dataclass(frozen=True, init=False)
 class ProbabilityVector:

@@ -53,8 +53,8 @@ def _cost_vectors(inst: ScenarioInstance, block: np.ndarray) -> np.ndarray:
     return inst.costs[:, block].sum(axis=2)
 
 
-def _kernel_batches(inst: ScenarioInstance) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
-    """The enumerated blocks in kernel-call batches, with their scenario costs side by side.
+def _kernel_batches(inst: ScenarioInstance) -> Iterator[list[np.ndarray]]:
+    """The enumerated blocks in kernel-call batches.
 
     Consecutive blocks are joined until they hold BLOCK_ROWS solutions, so
     that short blocks (an explicit list of ragged lengths) share kernel calls;
@@ -66,27 +66,49 @@ def _kernel_batches(inst: ScenarioInstance) -> Iterator[tuple[list[np.ndarray], 
         blocks.append(block)
         rows += len(block)
         if rows >= BLOCK_ROWS:
-            yield blocks, np.hstack([_cost_vectors(inst, b) for b in blocks])
+            yield blocks
             blocks, rows = [], 0
     if blocks:
-        yield blocks, np.hstack([_cost_vectors(inst, b) for b in blocks])
+        yield blocks
 
 
 def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResult:
     """Global minimum by exhaustive enumeration (oracle-grade, small instances).
 
-    Refuses search spaces larger than ``BRUTE_FORCE_LIMIT``.  With
-    ``check_pareto`` the returned solution is additionally tested for
-    Pareto efficiency against every enumerated cost vector.
+    Every solution is enumerated, but only those whose expected-cost lower
+    bound c * (p . a) (see ``WeightVector.expectation_factor``) does not
+    exceed the best value found so far are costed and evaluated; the others
+    can neither beat nor tie it.  Refuses search spaces larger than
+    ``BRUTE_FORCE_LIMIT``.  With ``check_pareto`` the returned solution is
+    additionally tested for Pareto efficiency against every enumerated cost
+    vector.
     """
     size = search_space_size(inst)
     if size > BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"search space has {size} solutions, exceeding the limit of {BRUTE_FORCE_LIMIT}"
         )
+    # A row's bound c * (p . a) is the sum of its elements' entries of floor
+    # (costs are >= 0); top[L] is the largest bound a row of L elements has.
+    floor = inst.v.expectation_factor * (inst.p.as_array() @ inst.costs)
+    top = np.concatenate(([0.0], np.cumsum(np.sort(floor)[::-1])))
     best_val = np.inf
     best_sub: Optional[list[int]] = None
-    for blocks, costs in _kernel_batches(inst):
+    for blocks in _kernel_batches(inst):
+        if best_sub is not None:  # with no best yet, a batch is evaluated whole
+            # the margin, about 1e6 times the rounding error of both sums,
+            # keeps every row that the kernel could round to or below the best
+            cutoff = best_val + 1e-9 * max(1.0, abs(best_val))
+            # a block whose every row fits under the cutoff is kept as it is;
+            # the others' rows are summed down the columns of b.T, since numpy
+            # adds along a short inner axis about 3x slower
+            kept = (b if top[b.shape[1]] <= cutoff
+                    else b.compress(floor.take(b.T).sum(axis=0) <= cutoff, axis=0)
+                    for b in blocks)
+            blocks = [b for b in kept if len(b)]
+            if not blocks:
+                continue
+        costs = np.hstack([_cost_vectors(inst, b) for b in blocks])
         values = wowa_batch(costs, inst.v, inst.p)
         s = int(np.argmin(values))
         if values[s] < best_val:

@@ -456,3 +456,42 @@ def test_every_permutation_bounds_wowa_from_below_at_scale(inputs):
     ceiling = wowa(a, v, p) + k * 2.0**-52 * a.max()
     for pi in itertools.permutations(range(k)):
         assert f_pi(a, v, p, pi) <= ceiling
+
+
+@st.composite
+def _bound_inputs(draw):
+    # K <= 8, costs >= 0 with zeros and ties scaled by 10^U(-6, 9), and weights
+    # that are generated, random (increasing ones too), uniform, e_1 or e_K
+    k = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["generated", "random", "increasing", "uniform", "max", "min"]))
+    positive = st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)
+    if shape == "generated":
+        v = generate_weights(draw(st.floats(1e-6, 1.0 - 1e-6)), k)
+    elif shape in ("random", "increasing"):
+        raw = np.array(draw(positive))
+        v = WeightVector((np.sort(raw) if shape == "increasing" else raw) / raw.sum())
+    elif shape == "uniform":
+        v = WeightVector.uniform(k)
+    else:
+        v = WeightVector(np.eye(k)[0 if shape == "max" else k - 1])
+    p = np.array(draw(positive))
+    entry = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.0))
+    a = np.array(draw(st.lists(entry, min_size=k, max_size=k)))
+    return shape, a * 10.0 ** draw(st.floats(-6.0, 9.0)), v, ProbabilityVector(p / p.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bound_inputs())
+def test_expected_cost_times_factor_bounds_wowa_from_below(inputs):
+    shape, a, v, p = inputs
+    k = v.k
+    c = v.expectation_factor
+    V = np.cumsum(v.as_array())
+    assert c == min(k * V[j - 1] / j for j in range(1, k + 1))
+    if v.is_nonincreasing:
+        assert c >= 1.0 - 1e-15
+    if shape == "min" and k > 1:
+        assert c == 0.0
+    # within the margin by which brute force's screen keeps a solution
+    value = wowa(a, v, p)
+    assert c * float(p.as_array() @ a) <= value + 1e-9 * max(1.0, abs(value))

@@ -29,7 +29,7 @@ from wowaopt import (
     wowa_value,
     wowa_via_decomposition,
 )
-from wowaopt.aggregation import SUM_TOL
+from wowaopt.aggregation import SUM_TOL, wowa_batch
 
 TOL = 1e-9
 
@@ -165,6 +165,37 @@ class TestBruteForce:
 
     def test_pareto_not_checked_by_default(self, paths_instance):
         assert brute_force(paths_instance).optimal_is_pareto is None
+
+    def test_expected_cost_bound_keeps_most_subsets_from_the_kernel(self, monkeypatch):
+        columns = []
+
+        def counting(a, v, p):
+            columns.append(a.shape[1])
+            return wowa_batch(a, v, p)
+
+        monkeypatch.setattr("wowaopt.exact.wowa_batch", counting)
+        # generated weights (c = 1): about 7% of the subsets reach the kernel
+        inst = gen_instance("selection", 24, 10, 1e-2, 1, q=6)
+        res = brute_force(inst)
+        assert res.node_count == 134_596
+        assert sum(columns) < res.node_count / 4
+        assert res.objective == wowa_value(inst, res.solution)
+
+    def test_margin_keeps_a_solution_whose_bound_rounds_above_the_best(self):
+        # Under uniform weights the bound is the WOWA value up to rounding.
+        # Element 1, alone in the second kernel batch, evaluates one ulp below
+        # element 0, the first batch's best, and its bound rounds one ulp above.
+        k, filler = 5, 2047
+        costs = np.full((k, filler + 2), 10.0)
+        costs[:, 0] = [0.6, 1.1, 1.1, 1.1, 0.7]
+        costs[:, 1] = [0.6, 0.6, 1.1, 3.3, 0.3]
+        solutions = ((0,),) + tuple((e,) for e in range(2, filler + 2)) + ((1,),)
+        inst = ScenarioInstance(costs, np.array([14, 2, 12, 3, 14]) / 45.0,
+                                WeightVector.uniform(k), Explicit(solutions))
+        first, second = (wowa_value(inst, Solution([e])) for e in (0, 1))
+        assert second < first < inst.p.as_array() @ costs[:, 1]
+        res = brute_force(inst)
+        assert (res.solution.chosen, res.objective) == ((1,), second)
 
 
 def _pin_instance(rng, kind, n: int, k: int, style: int) -> ScenarioInstance:
