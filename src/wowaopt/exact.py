@@ -89,9 +89,8 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
             f"search space has {size} solutions, exceeding the limit of {BRUTE_FORCE_LIMIT}"
         )
     # A row's bound c * (p . a) is the sum of its elements' entries of floor
-    # (costs are >= 0); top[L] is the largest bound a row of L elements has.
+    # (costs are >= 0).
     floor = inst.v.expectation_factor * (inst.p.as_array() @ inst.costs)
-    top = np.concatenate(([0.0], np.cumsum(np.sort(floor)[::-1])))
     best_val = np.inf
     best_sub: Optional[list[int]] = None
     for blocks in _kernel_batches(inst):
@@ -99,12 +98,9 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
             # the margin, about 1e6 times the rounding error of both sums,
             # keeps every row that the kernel could round to or below the best
             cutoff = best_val + 1e-9 * max(1.0, abs(best_val))
-            # a block whose every row fits under the cutoff is kept as it is;
-            # the others' rows are summed down the columns of b.T, since numpy
-            # adds along a short inner axis about 3x slower
-            kept = (b if top[b.shape[1]] <= cutoff
-                    else b.compress(floor.take(b.T).sum(axis=0) <= cutoff, axis=0)
-                    for b in blocks)
+            # rows are summed down the columns of b.T, since numpy adds along
+            # a short inner axis about 3x slower
+            kept = (b.compress(floor.take(b.T).sum(axis=0) <= cutoff, axis=0) for b in blocks)
             blocks = [b for b in kept if len(b)]
             if not blocks:
                 continue
