@@ -99,7 +99,12 @@ class ProblemKind:
       JSON object, the part under ``tag``.
 
     The branch-and-bound branches on ``free_elements(fix, n)``; a branch
-    without a completion is dropped when its ``solve`` raises.
+    without a completion is dropped when its ``solve`` raises.  Before it
+    branches, ``reduced_fixing(costs, fix, sol, z, cutoff)`` may fix more
+    elements from the node's bounding solve: ``sol`` of value ``z`` is
+    ``solve(costs, fix)``, and an element may be fixed in (out) when every
+    completion with it out (in) costs at least ``cutoff`` under ``costs``.
+    ``sol`` must stay admissible.  By default nothing more is fixed.
     """
 
     tag: str
@@ -107,6 +112,11 @@ class ProblemKind:
     def free_elements(self, fix: PartialFixing, n: int) -> set[int]:
         """Elements to branch on; empty once the fixing admits one completion."""
         return set(range(n)) - fix.forced_in - fix.forced_out
+
+    def reduced_fixing(self, costs, fix: PartialFixing, sol: Solution, z: float,
+                       cutoff: float) -> PartialFixing:
+        """``fix`` with the elements the solve's prices decide; none by default."""
+        return fix
 
     def lp_binaries(self) -> list[str]:
         """Binary variables the LP rows use besides x1..xn."""

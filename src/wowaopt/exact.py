@@ -158,6 +158,17 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
 # call.  A child also reuses its parent's last solve as its first when its
 # fixing admits that completion: the solve was optimal on a superset under
 # the same w, so it is optimal for the child too.
+#
+# Reduced-cost fixing: the solve that attains a node's bound z, under the
+# element costs c = w*.C of its iterate w*, also prices every free element.
+# The kind's reduced_fixing fixes an element out (in) for the whole subtree
+# when the cheapest completion under c with it in (out) reaches the cutoff
+# best - margin by which nodes are pruned; since w*.F(X) <= WOWA(X), no
+# completion so removed can beat the incumbent.  For selection that price is
+# exactly z + c_e - c_in for an unchosen e and z - c_e + c_out for a chosen
+# one, with c_in the dearest chosen and c_out the cheapest unchosen free
+# cost.  The attaining completion stays admissible, so z bounds both
+# children.
 # ---------------------------------------------------------------------------
 
 _FW_STEPS = 6
@@ -178,14 +189,15 @@ class _BBContext:
         """Frank-Wolfe-refined lower bound, cut short once it reaches target.
 
         Starts from ``warm``, the parent's final (w, avg, last solve), or from
-        (p, None, None); the parent's last (Solution, value) is the first solve
-        when the fixing admits it.  Returns the bound, the completion that
-        attained it, the (Solution, scenario costs) of the node's completions
-        that the search had not met before, and the warm state of its children.
+        (p, None, None); the parent's last (Solution, value, element costs) is
+        the first solve when the fixing admits it.  Returns the bound, the
+        (Solution, element costs) of the solve that attained it, the
+        (Solution, scenario costs) of the node's completions that the search
+        had not met before, and the warm state of its children.
         """
         inst = self.inst
         bound = -np.inf
-        best_completion: Optional[tuple[int, ...]] = None
+        attained: Optional[tuple[Solution, np.ndarray]] = None
         new: list[tuple[Solution, np.ndarray]] = []
         w_scen, avg, last = warm or (self.p, None, None)
         reuse = (last is not None and fix.forced_in.issubset(last[0].chosen)
@@ -193,12 +205,13 @@ class _BBContext:
         offset = 0 if avg is None else _FW_STEPS
         for step in range(_FW_STEPS):
             if step == 0 and reuse:
-                sol, value = last  # optimal on a superset under the same w
+                sol, value, costs = last  # optimal on a superset under the same w
             else:
-                sol, value = solve_with_costs(inst.kind, w_scen @ self.C, fix)
+                costs = w_scen @ self.C
+                sol, value = solve_with_costs(inst.kind, costs, fix)
             if value > bound:
                 bound = value
-                best_completion = sol.chosen
+                attained = (sol, costs)
             entry = self.met.get(sol.chosen)
             if entry is None:
                 entry = self.met[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
@@ -211,20 +224,21 @@ class _BBContext:
             direction = np.empty(inst.K)
             direction[pi] = _rank_omegas(inst.v, cum)
             w_scen = (1.0 - gamma) * w_scen + gamma * direction
-        # the loop ends on a solve, so (sol, value) is the solve under w_scen
-        return bound, best_completion, new, (w_scen, avg, (sol, value))
+        # the loop ends on a solve, so (sol, value, costs) is the solve under w_scen
+        return bound, attained, new, (w_scen, avg, (sol, value, costs))
 
-    def branch_element(self, fix: PartialFixing, completion) -> Optional[int]:
+    def branch_element(self, fix: PartialFixing, attained) -> Optional[int]:
         """Undecided element with the largest scenario-cost spread.
 
-        Candidates come from the last bound completion (they drive the gap
+        Candidates come from the completion of ``attained``, the node's
+        (Solution, element costs) that attained its bound (they drive the gap
         between the linear relaxation and the true WOWA value); ties and
         the no-candidate case fall back to the lowest free index.  Returns
         None when the node admits exactly one completion, which the bound
         solve has already evaluated.
         """
         free = self.inst.kind.free_elements(fix, self.inst.n)
-        candidates = [e for e in (completion or ()) if e in free]
+        candidates = [e for e in attained[0].chosen if e in free]
         if candidates:
             return max(candidates, key=lambda e: (self.spread[e], -e))
         return min(free, default=None)
@@ -274,7 +288,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             break
         node_count += 1
         try:
-            bound, completion, new, warm = ctx.node_bound(fix, best_val - margin(), warm)
+            bound, attained, new, warm = ctx.node_bound(fix, best_val - margin(), warm)
         except FeasibilityError:
             continue
         # a completion met before has a value no less than the incumbent
@@ -288,7 +302,9 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
                 best_sol = sols[s]
         if bound >= best_val - margin():
             continue
-        e = ctx.branch_element(fix, completion)
+        sol, costs = attained
+        fix = inst.kind.reduced_fixing(costs, fix, sol, bound, best_val - margin())
+        e = ctx.branch_element(fix, attained)
         if e is None:
             continue  # fully decided; the bound solve already evaluated it
         # a child with no completion raises FeasibilityError in its bound solve

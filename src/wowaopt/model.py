@@ -161,8 +161,27 @@ class Selection(ProblemKind):
             return set()
         return super().free_elements(fix, n)
 
+    def reduced_fixing(self, costs, fix, sol, z, cutoff):
+        # sol holds the cheapest free elements, so the cheapest completion
+        # with an unchosen e in swaps it for the dearest chosen free one
+        # (c_in), and the cheapest with a chosen e out swaps it for the
+        # cheapest unchosen free one (c_out)
+        c = costs.tolist()
+        picked = [e for e in sol.chosen if e not in fix.forced_in]
+        taken = fix.forced_out.union(sol.chosen)
+        rest = [e for e in range(len(c)) if e not in taken]
+        if not picked or not rest:
+            return fix
+        c_in = max([c[e] for e in picked])
+        c_out = min([c[e] for e in rest])
+        fixed_in = [e for e in picked if z - c[e] + c_out >= cutoff]
+        fixed_out = [e for e in rest if z + c[e] - c_in >= cutoff]
+        if not fixed_in and not fixed_out:
+            return fix
+        return PartialFixing(fix.forced_in.union(fixed_in), fix.forced_out.union(fixed_out))
+
     def lp_rows(self, n: int):
-        return [("card", [(1.0, f"x{i + 1}") for i in range(n)], self.q)]
+        return [("card",[(1.0, f"x{i + 1}") for i in range(n)], self.q)]
 
     def to_json(self) -> dict:
         return {"q": int(self.q)}  # a numpy integer is not JSON serializable

@@ -338,12 +338,13 @@ def test_brute_force_outcomes_are_pinned(name):
 # the kernel shows here.  The objectives were recorded before the node bound
 # evaluated its completions in one batch and stopped at the incumbent, and
 # have held since; the node counts are those of the averaged Frank-Wolfe
-# direction warm-started from the parent, with 6 steps per node.
+# direction warm-started from the parent, with 6 steps per node, and of
+# reduced-cost fixing of selection elements.
 _BB_PINS = [
-    ("selection", 20, 5, 1e-2, 700, 79, "0x1.3ddfabfcd6dc1p+7"),
-    ("selection", 20, 5, 1e-4, 701, 37, "0x1.a80c231152dddp+7"),
-    ("selection", 20, 10, 1e-2, 702, 43, "0x1.0500d5cdbf7d8p+8"),
-    ("selection", 20, 10, 1e-4, 703, 233, "0x1.f6bca22120762p+7"),
+    ("selection", 20, 5, 1e-2, 700, 59, "0x1.3ddfabfcd6dc1p+7"),
+    ("selection", 20, 5, 1e-4, 701, 17, "0x1.a80c231152dddp+7"),
+    ("selection", 20, 10, 1e-2, 702, 31, "0x1.0500d5cdbf7d8p+8"),
+    ("selection", 20, 10, 1e-4, 703, 145, "0x1.f6bca22120762p+7"),
     ("assignment", 6, 5, 1e-2, 704, 17, "0x1.b4abadfd44fa3p+7"),
     ("assignment", 6, 5, 1e-4, 705, 25, "0x1.02df2c1fc6b0ep+8"),
     ("assignment", 6, 10, 1e-2, 706, 17, "0x1.180b5902ee69cp+8"),
@@ -390,6 +391,22 @@ class TestBranchAndBound:
                 numer / numer.sum(),
                 generate_weights(10.0 ** rng.uniform(-4, -1), k),
                 Selection(q=n // 4),
+            )
+            assert exact_bb(inst).objective == brute_force(inst).objective, i
+
+    def test_matches_brute_force_on_tie_heavy_selection(self):
+        # Integer costs 0-3 tie many completions, so node bounds and element
+        # prices often land on the incumbent's value: neither the pruning nor
+        # the fixing cutoff best - 1e-12 * max(1, |best|) may cut off the optimum.
+        rng = np.random.RandomState(16)
+        for i in range(200):
+            n, k = rng.randint(12, 17), (2, 5, 10)[i % 3]
+            numer = rng.randint(1, 101, size=k)
+            inst = ScenarioInstance(
+                rng.randint(0, 4, size=(k, n)).astype(float),
+                numer / numer.sum(),
+                generate_weights(10.0 ** rng.uniform(-4, -0.5), k),
+                Selection(q=rng.randint(2, n // 2 + 1)),
             )
             assert exact_bb(inst).objective == brute_force(inst).objective, i
 

@@ -396,6 +396,47 @@ def test_kind_methods_agree_with_enumeration(kind, n):
         assert value == min(costs[list(s)].sum() for s in compatible)
 
 
+def test_selection_reduced_fixing_prices_exactly():
+    # Scenario costs 0-3 under weights in eighths give element costs whose
+    # sums are exact, so completions tie often and a cutoff can equal a
+    # completion's cost to the bit.  An element is fixed exactly when the
+    # cheapest completion with it forced the other way costs >= cutoff; one
+    # that cannot be forced the other way (the fixing admits one completion)
+    # stays free.
+    rng = np.random.RandomState(17)
+    seen = {"no chosen free": 0, "no unchosen free": 0, "unchanged": 0, "in": 0, "out": 0}
+    for _ in range(400):
+        n, k = rng.randint(2, 11), rng.randint(1, 6)
+        q = rng.randint(1, n + 1)
+        kind = Selection(q=q)
+        costs = rng.randint(0, 9, size=k) / 8.0 @ rng.randint(0, 4, size=(k, n)).astype(float)
+        order = rng.permutation(n).tolist()
+        n_in, n_out = rng.randint(0, q + 1), rng.randint(0, n - q + 1)
+        fix = PartialFixing(order[:n_in], order[n_in:n_in + n_out])
+        sol, z = kind.solve(costs, fix)
+        compatible = [s for s in itertools.combinations(range(n), q)
+                      if fix.forced_in <= set(s) and not fix.forced_out & set(s)]
+        free = set(range(n)) - fix.forced_in - fix.forced_out
+        price = {e: min((costs[list(s)].sum() for s in compatible
+                         if (e in s) != (e in sol.chosen)), default=np.inf)
+                 for e in free}
+        finite = sorted({z} | {v for v in price.values() if v < np.inf})
+        cutoffs = [z - 1] + finite + [(a + b) / 2 for a, b in zip(finite, finite[1:])] + [finite[-1] + 1]
+        cutoff = cutoffs[rng.randint(len(cutoffs))]
+        fixed = {e for e, v in price.items() if cutoff <= v < np.inf}
+        got = kind.reduced_fixing(costs, fix, sol, z, cutoff)
+        assert got == PartialFixing(fix.forced_in | (fixed & set(sol.chosen)),
+                                    fix.forced_out | (fixed - set(sol.chosen)))
+        if not fixed:
+            assert got is fix
+        seen["no chosen free"] += n_in == q
+        seen["no unchosen free"] += n_out == n - q
+        seen["unchanged"] += not fixed
+        seen["in"] += bool(fixed & set(sol.chosen))
+        seen["out"] += bool(fixed - set(sol.chosen))
+    assert min(seen.values()) >= 10, seen
+
+
 def _enumerated(kind, n) -> list:
     blocks = list(kind.enumerate(n))
     for block in blocks:
