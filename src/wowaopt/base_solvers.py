@@ -47,6 +47,13 @@ class Solution:
             raise ValueError("duplicate element indices in solution")
         object.__setattr__(self, "chosen", idx)
 
+    @classmethod
+    def _ascending(cls, chosen: Sequence[int]) -> "Solution":
+        # a solver's own ascending, distinct Python ints, taken unchecked
+        sol = object.__new__(cls)
+        object.__setattr__(sol, "chosen", tuple(chosen))
+        return sol
+
     def __len__(self) -> int:
         return len(self.chosen)
 
@@ -67,6 +74,21 @@ class PartialFixing:
         object.__setattr__(self, "forced_out", frozenset(self.forced_out))
         if self.forced_in & self.forced_out:
             raise ValueError("forced_in and forced_out must be disjoint")
+
+    def shift(self, n: int) -> np.ndarray:
+        """The fixing as per-element shifts of n costs: -inf forced in, +inf forced out, 0 free.
+
+        Kept after the first call, since a branch-and-bound node shifts its
+        costs at each of its solves.
+        """
+        row = self.__dict__.get("_shift")
+        if row is None or row.size != n:
+            row = np.zeros(n)
+            row[list(self.forced_in)] = -np.inf
+            row[list(self.forced_out)] = np.inf
+            row.flags.writeable = False
+            self.__dict__["_shift"] = row
+        return row
 
 
 NO_FIXING = PartialFixing()
@@ -98,8 +120,12 @@ class ProblemKind:
     * ``to_json()`` and the classmethod ``from_json(body)``: the body of its
       JSON object, the part under ``tag``.
 
-    The branch-and-bound branches on ``free_elements(fix, n)``; a branch
-    without a completion is dropped when its ``solve`` raises.  Before it
+    The branch-and-bound bounds its nodes in batches through
+    ``solve_rows(costs, fixes)``: row i of a cost matrix solved under
+    ``fixes[i]``, None where that fixing has no completion.  By default it
+    calls ``solve`` row by row; a kind may solve all rows at once, but must
+    return what ``solve`` returns, to the bit.  The search branches on
+    ``free_elements(fix, n)`` and drops a branch without a completion.  Before it
     branches, ``reduced_fixing(costs, fix, sol, z, cutoff)`` may fix more
     elements from the node's bounding solve: ``sol`` of value ``z`` is
     ``solve(costs, fix)``, and an element may be fixed in (out) when every
@@ -108,6 +134,16 @@ class ProblemKind:
     """
 
     tag: str
+
+    def solve_rows(self, costs: np.ndarray, fixes: Sequence[PartialFixing]) -> list:
+        """``solve`` of each row of costs under its own fixing; None where it has no completion."""
+        out = []
+        for row, fix in zip(costs, fixes):
+            try:
+                out.append(self.solve(row, fix))
+            except FeasibilityError:
+                out.append(None)
+        return out
 
     def free_elements(self, fix: PartialFixing, n: int) -> set[int]:
         """Elements to branch on; empty once the fixing admits one completion."""
@@ -123,22 +159,39 @@ class ProblemKind:
         return []
 
 
+def select_rows(costs: np.ndarray, q: int, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's q cheapest elements, ascending, and their total, in one masked stable argsort.
+
+    Row i of ``shift`` is the ``PartialFixing.shift`` of row i's fixing.
+    With finite costs a row sorts its forced-in elements first, its free
+    ones by cost with ties by ascending index, and its forced-out ones last,
+    so a feasible fixing's first q are its forced-in and its cheapest free
+    elements.  A total is the row sum over the ascending chosen indices.
+    """
+    chosen = np.argsort(costs + shift, axis=1, kind="stable")[:, :q]
+    chosen.sort(axis=1)
+    return chosen, costs[np.arange(len(costs))[:, None], chosen].sum(axis=1)
+
+
 def solve_selection(costs, q: int, fix: PartialFixing = NO_FIXING) -> tuple[Solution, float]:
-    """q elements of minimum total cost; ties broken by ascending index."""
-    c = np.asarray(costs, dtype=float)
-    n = c.size
+    """q elements of minimum total cost; ties broken by ascending index.
+
+    The one-row case of ``select_rows``; costs must be finite.
+    """
+    c = np.asarray(costs, dtype=float).reshape(1, -1)
+    n = c.shape[1]
     if not 1 <= q <= n:
         raise FeasibilityError(f"selection size q={q} outside 1..{n}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("selection costs must be finite")
+    if any(not 0 <= e < n for e in fix.forced_in | fix.forced_out):
+        raise ValueError(f"fixed element index outside 0..{n - 1}")
     if len(fix.forced_in) > q:
         raise FeasibilityError("more elements forced in than the selection size")
-    free = [i for i in range(n) if i not in fix.forced_in and i not in fix.forced_out]
-    need = q - len(fix.forced_in)
-    if len(free) < need:
+    if n - len(fix.forced_out) < q:
         raise FeasibilityError("not enough free elements to complete the selection")
-    free.sort(key=c.tolist().__getitem__)  # stable: ties stay in index order
-    chosen = sorted(fix.forced_in) + free[:need]
-    sol = Solution(chosen)
-    return sol, float(c[list(sol.chosen)].sum())
+    chosen, total = select_rows(c, q, fix.shift(n)[None])
+    return Solution._ascending(chosen[0].tolist()), float(total[0])
 
 
 def _hungarian(cost: list[list[float]]) -> list[int]:

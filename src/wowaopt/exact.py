@@ -21,7 +21,7 @@ import numpy as np
 
 from .aggregation import NonIncreasingWeightsError, _rank_omegas, _worst_first, wowa_batch
 from .approx import approx_solve
-from .base_solvers import BLOCK_ROWS, FeasibilityError, PartialFixing, Solution, solve_with_costs
+from .base_solvers import BLOCK_ROWS, FeasibilityError, PartialFixing, Solution
 from .model import ScenarioInstance, scenario_costs
 
 __all__ = [
@@ -169,9 +169,19 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
 # one, with c_in the dearest chosen and c_out the cheapest unchosen free
 # cost.  The attaining completion stays admissible, so z bounds both
 # children.
+#
+# Lockstep batches: the search pops up to _BB_BATCH open nodes whose pushed
+# bound is below the cutoff and bounds them together.  Their Frank-Wolfe
+# steps are independent, so each step makes one matmul, one solve_rows call
+# and one ranking call for all nodes still running, instead of one of each
+# per node; every row is computed as a batch of one would compute it.  All
+# nodes of a batch stop at the cutoff of the batch's start, and the
+# incumbent and cutoff are updated once the batch is bounded, so a batch
+# may bound a node that a search of one node at a time would have pruned.
 # ---------------------------------------------------------------------------
 
 _FW_STEPS = 6
+_BB_BATCH = 16  # the most open nodes one node_bounds call bounds
 
 
 class _BBContext:
@@ -185,47 +195,85 @@ class _BBContext:
         # chosen -> (Solution, scenario costs) of each completion a node returned
         self.met: dict[tuple[int, ...], tuple[Solution, np.ndarray]] = {}
 
-    def node_bound(self, fix: PartialFixing, target: float, warm=None):
-        """Frank-Wolfe-refined lower bound, cut short once it reaches target.
+    def node_bounds(self, fixes: list[PartialFixing], target: float, warms: list):
+        """Frank-Wolfe-refined lower bounds of a batch of nodes, in lockstep.
 
-        Starts from ``warm``, the parent's final (w, avg, last solve), or from
-        (p, None, None); the parent's last (Solution, value, element costs) is
-        the first solve when the fixing admits it.  Returns the bound, the
-        (Solution, element costs) of the solve that attained it, the
-        (Solution, scenario costs) of the node's completions that the search
-        had not met before, and the warm state of its children.
+        Node i starts from ``warms[i]``, its parent's final (w, avg, last
+        solve), or from (p, None, None) when that is None; the parent's last
+        (Solution, value, element costs) is its first solve when its fixing
+        admits it.  Each step makes one matmul, one ``solve_rows`` and one
+        ranking call for the nodes still running; a node stops once its
+        bound reaches target, or after _FW_STEPS solves.  Every row is
+        computed as a batch of one would compute it, to the bit.  Returns,
+        per node, None when its fixing has no completion, else the bound,
+        the (Solution, element costs) of the solve that attained it and the
+        warm state of its children; and the (Solution, scenario costs) of the
+        completions that the search had not met before, in the order met.
         """
         inst = self.inst
-        bound = -np.inf
-        attained: Optional[tuple[Solution, np.ndarray]] = None
+        lasts: list = [None] * len(fixes)
+        for i, (fix, warm) in enumerate(zip(fixes, warms)):
+            last = None if warm is None else warm[2]
+            if (last is not None and fix.forced_in.issubset(last[0].chosen)
+                    and fix.forced_out.isdisjoint(last[0].chosen)):
+                lasts[i] = last  # optimal on a superset under the same w
+        # the running nodes and, row by row, their iterates, averages and step sizes
+        nodes = list(range(len(fixes)))
+        W = np.array([self.p if warm is None else warm[0] for warm in warms])
+        fresh = [warm is None or warm[1] is None for warm in warms]  # no average yet
+        AVG = np.array([np.zeros(inst.K) if f else warm[1] for f, warm in zip(fresh, warms)])
+        # step sizes: a node continues its parent's count, one without an average starts at 0
+        GAMMA = 2.0 / (np.where(fresh, 0.0, _FW_STEPS)[:, None] + np.arange(_FW_STEPS) + 2.0)
+        STAY = 1.0 - GAMMA
+        bounds = [-np.inf] * len(fixes)
+        attained: list = [None] * len(fixes)
+        results: list = [None] * len(fixes)
         new: list[tuple[Solution, np.ndarray]] = []
-        w_scen, avg, last = warm or (self.p, None, None)
-        reuse = (last is not None and fix.forced_in.issubset(last[0].chosen)
-                 and fix.forced_out.isdisjoint(last[0].chosen))
-        offset = 0 if avg is None else _FW_STEPS
         for step in range(_FW_STEPS):
-            if step == 0 and reuse:
-                sol, value, costs = last  # optimal on a superset under the same w
-            else:
-                costs = w_scen @ self.C
-                sol, value = solve_with_costs(inst.kind, costs, fix)
-            if value > bound:
-                bound = value
-                attained = (sol, costs)
-            entry = self.met.get(sol.chosen)
-            if entry is None:
-                entry = self.met[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
-                new.append(entry)
-            if bound >= target or step == _FW_STEPS - 1:
+            solves = [lasts[i] for i in nodes] if step == 0 else [None] * len(nodes)
+            rows = [j for j, solved in enumerate(solves) if solved is None]
+            if rows:
+                # a stack of 1-by-K products, each row w @ C to the bit
+                costs = np.matmul(W[rows, None], self.C)[:, 0]
+                out = inst.kind.solve_rows(costs, [fixes[nodes[j]] for j in rows])
+                for j, solved, row in zip(rows, out, costs):
+                    if solved is not None:
+                        solves[j] = (*solved, row)
+            keep, seen = [], []
+            for j, (i, solved) in enumerate(zip(nodes, solves)):
+                if solved is None:  # the fixing has no completion
+                    continue
+                sol, value, costs_i = solved
+                if value > bounds[i]:
+                    bounds[i] = value
+                    attained[i] = (sol, costs_i)
+                entry = self.met.get(sol.chosen)
+                if entry is None:
+                    entry = self.met[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
+                    new.append(entry)
+                if bounds[i] >= target or step == _FW_STEPS - 1:
+                    # the node ends on a solve, which is its solve under W[j]
+                    avg = None if step == 0 and fresh[j] else AVG[j]
+                    results[i] = (bounds[i], attained[i], (W[j], avg, solved))
+                else:
+                    keep.append(j)
+                    seen.append(entry[1])
+            if not keep:
                 break
-            gamma = 2.0 / (offset + step + 2.0)
-            avg = entry[1] if avg is None else (1.0 - gamma) * avg + gamma * entry[1]
-            pi, cum = _worst_first(avg, self.p)
-            direction = np.empty(inst.K)
-            direction[pi] = _rank_omegas(inst.v, cum)
-            w_scen = (1.0 - gamma) * w_scen + gamma * direction
-        # the loop ends on a solve, so (sol, value, costs) is the solve under w_scen
-        return bound, attained, new, (w_scen, avg, (sol, value, costs))
+            if len(keep) < len(nodes):
+                nodes = [nodes[j] for j in keep]
+                fresh = [fresh[j] for j in keep]
+                W, AVG, GAMMA, STAY = W[keep], AVG[keep], GAMMA[keep], STAY[keep]
+            gamma, stay = GAMMA[:, step, None], STAY[:, step, None]
+            seen = np.array(seen)
+            AVG = stay * AVG + gamma * seen
+            if step == 0 and any(fresh):
+                AVG[fresh] = seen[fresh]
+            order, cum = _worst_first(AVG.T, self.p)
+            direction = np.empty_like(cum)
+            direction[order, np.arange(len(nodes))] = _rank_omegas(inst.v, cum)
+            W = stay * W + gamma * direction.T
+        return results, new
 
     def branch_element(self, fix: PartialFixing, attained) -> Optional[int]:
         """Undecided element with the largest scenario-cost spread.
@@ -255,9 +303,10 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     """Best-first branch-and-bound; optimal on termination.
 
     Requires nonincreasing importance weights (the node relaxations are
-    only valid lower bounds in that regime).  On hitting the time limit
-    the best incumbent is returned with proof_status "time_limit"; a NaN
-    or nonpositive limit raises ValueError.
+    only valid lower bounds in that regime).  Open nodes are bounded in
+    batches of up to _BB_BATCH, and the time limit is checked before each
+    batch: on hitting it the best incumbent is returned with proof_status
+    "time_limit"; a NaN or nonpositive limit raises ValueError.
     """
     check_time_limit(time_limit)
     if not inst.v.is_nonincreasing:
@@ -280,17 +329,19 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     status = "optimal"
 
     while heap:
-        pushed_bound, _, fix, warm = heapq.heappop(heap)
-        if pushed_bound >= best_val - margin():
-            continue
+        fixes, warms = [], []
+        while heap and len(fixes) < _BB_BATCH:
+            pushed_bound, _, fix, warm = heapq.heappop(heap)
+            if pushed_bound < best_val - margin():
+                fixes.append(fix)
+                warms.append(warm)
+        if not fixes:
+            break
         if time.monotonic() - start > time_limit:
             status = "time_limit"
             break
-        node_count += 1
-        try:
-            bound, attained, new, warm = ctx.node_bound(fix, best_val - margin(), warm)
-        except FeasibilityError:
-            continue
+        node_count += len(fixes)
+        results, new = ctx.node_bounds(fixes, best_val - margin(), warms)
         # a completion met before has a value no less than the incumbent
         if new:
             sols, costs = zip(*new)
@@ -300,19 +351,22 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             if values[s] < best_val:
                 best_val = float(values[s])
                 best_sol = sols[s]
-        if bound >= best_val - margin():
-            continue
-        sol, costs = attained
-        fix = inst.kind.reduced_fixing(costs, fix, sol, bound, best_val - margin())
-        e = ctx.branch_element(fix, attained)
-        if e is None:
-            continue  # fully decided; the bound solve already evaluated it
-        # a child with no completion raises FeasibilityError in its bound solve
-        for child in (
-            PartialFixing(fix.forced_in | {e}, fix.forced_out),
-            PartialFixing(fix.forced_in, fix.forced_out | {e}),
-        ):
-            heapq.heappush(heap, (bound, next(counter), child, warm))
+        for fix, result in zip(fixes, results):
+            if result is None:
+                continue  # the fixing has no completion
+            bound, attained, warm = result
+            if bound >= best_val - margin():
+                continue
+            sol, costs = attained
+            fix = inst.kind.reduced_fixing(costs, fix, sol, bound, best_val - margin())
+            e = ctx.branch_element(fix, attained)
+            if e is None:
+                continue  # fully decided; the bound solve already evaluated it
+            for child in (
+                PartialFixing(fix.forced_in | {e}, fix.forced_out),
+                PartialFixing(fix.forced_in, fix.forced_out | {e}),
+            ):
+                heapq.heappush(heap, (bound, next(counter), child, warm))
 
     return ExactResult(
         solution=best_sol,

@@ -156,6 +156,19 @@ class Selection(ProblemKind):
     def solve(self, costs, fix):
         return base_solvers.solve_selection(costs, self.q, fix)
 
+    def solve_rows(self, costs, fixes):
+        # the rows of the feasible fixings in one select_rows call
+        q, n = self.q, costs.shape[1]
+        rows = [i for i, fix in enumerate(fixes) if len(fix.forced_in) <= q <= n - len(fix.forced_out)]
+        out = [None] * len(fixes)
+        if rows:
+            if len(rows) < len(fixes):
+                costs, fixes = costs[rows], [fixes[i] for i in rows]
+            chosen, totals = base_solvers.select_rows(costs, q, np.array([fix.shift(n) for fix in fixes]))
+            for i, picked, total in zip(rows, chosen.tolist(), totals.tolist()):
+                out[i] = (Solution._ascending(picked), total)
+        return out
+
     def free_elements(self, fix: PartialFixing, n: int) -> set[int]:
         if len(fix.forced_in) == self.q or n - len(fix.forced_out) == self.q:
             return set()

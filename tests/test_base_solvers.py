@@ -51,6 +51,34 @@ class TestSelection:
         with pytest.raises(FeasibilityError):
             solve_selection([1, 2, 3], 1, PartialFixing(frozenset({0, 1}), frozenset()))
 
+    def test_rejects_non_finite_costs_and_out_of_range_fixings(self):
+        # the masked argsort shifts fixed elements to -inf / +inf, which a
+        # non-finite free cost could tie
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                solve_selection([1.0, bad, 2.0], 2)
+        for fix in (PartialFixing({3}, ()), PartialFixing((), {-1})):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                solve_selection([1.0, 2.0, 3.0], 2, fix)
+
+    def test_rows_match_one_row_solves(self):
+        # Selection.solve_rows gives each row what solve_selection gives it, to the bit
+        rng = np.random.RandomState(2)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            q = rng.randint(1, n + 1)
+            costs = _pin_costs(rng, (6, n), rng.randint(3))
+            fixes = [_pin_fixing(rng, rng.permutation(n).tolist(), rng.randint(0, q + 2), n - q + 1)
+                     for _ in range(6)]
+            rows = Selection(q=q).solve_rows(costs, fixes)
+            for row, fix, got in zip(costs, fixes, rows):
+                try:
+                    sol, value = solve_selection(row, q, fix)
+                except FeasibilityError:
+                    assert got is None
+                else:
+                    assert got is not None and (got[0], got[1].hex()) == (sol, value.hex())
+
     def test_optimal_vs_exhaustive(self):
         rng = np.random.RandomState(0)
         for _ in range(100):

@@ -14,8 +14,10 @@ from wowaopt.cli import main
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def cli(*args, **kwargs):
-    # pytest's pythonpath setting does not reach a child process
+def cli_process(*args, **kwargs):
+    # one run of `python -m wowaopt.cli` in a fresh interpreter, for the tests
+    # of the process boundary: one per documented exit code.  pytest's
+    # pythonpath setting does not reach a child process.
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     return subprocess.run(
@@ -27,13 +29,26 @@ def cli(*args, **kwargs):
     )
 
 
+@pytest.fixture
+def cli(capsys):
+    """``main`` run in this interpreter, with what a process run would return."""
+    def run(*args) -> subprocess.CompletedProcess:
+        try:
+            code = main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code or 0
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+    return run
+
+
 def report_fields(stdout: str) -> dict:
     line = [l for l in stdout.strip().splitlines() if l.startswith("value=")][-1]
     return dict(part.split("=", 1) for part in line.split())
 
 
 class TestGenerate:
-    def test_writes_valid_instance(self, tmp_path):
+    def test_writes_valid_instance(self, tmp_path, cli):
         out = tmp_path / "inst.json"
         res = cli("generate", "--kind", "selection", "--n", 20, "--q", 5, "-K", 4,
                   "--alpha", 0.01, "--seed", 7, "--out", out)
@@ -41,19 +56,19 @@ class TestGenerate:
         inst = read_instance(out.read_text())
         assert inst.n == 20 and inst.K == 4 and inst.kind.q == 5
 
-    def test_missing_alpha_is_usage_error(self, tmp_path):
+    def test_missing_alpha_is_usage_error(self, tmp_path, cli):
         res = cli("generate", "--kind", "selection", "--n", 20, "-K", 4,
                   "--seed", 7, "--out", tmp_path / "x.json")
         assert res.returncode == 2
 
-    def test_same_flags_identical_files(self, tmp_path):
+    def test_same_flags_identical_files(self, tmp_path, cli):
         args = ["generate", "--kind", "assignment", "--m", 4, "-K", 3,
                 "--alpha", 0.001, "--seed", 11]
         cli(*args, "--out", tmp_path / "a.json")
         cli(*args, "--out", tmp_path / "b.json")
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
-    def test_kind_size_flag_mismatch(self, tmp_path):
+    def test_kind_size_flag_mismatch(self, tmp_path, cli):
         res = cli("generate", "--kind", "selection", "--m", 4, "-K", 2,
                   "--alpha", 0.01, "--seed", 0, "--out", tmp_path / "x.json")
         assert res.returncode == 2
@@ -72,20 +87,20 @@ class TestGenerate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_output_is_io_error(self, tmp_path):
+    def test_unwritable_output_is_io_error(self, tmp_path, cli):
         res = cli("generate", "--kind", "selection", "--n", 6, "-K", 2, "--alpha", 0.01,
                   "--seed", 1, "--out", tmp_path / "missing" / "x.json")
         assert res.returncode == 1
         assert "cannot write" in res.stderr and "Traceback" not in res.stderr
 
-    def test_single_element_selection(self, tmp_path):
+    def test_single_element_selection(self, tmp_path, cli):
         out = tmp_path / "one.json"
         res = cli("generate", "--kind", "selection", "--n", 1, "-K", 2,
                   "--alpha", 0.01, "--seed", 0, "--out", out)
         assert res.returncode == 0, res.stderr
         assert read_instance(out.read_text()).kind.q == 1
 
-    def test_uniform_alpha(self, tmp_path):
+    def test_uniform_alpha(self, tmp_path, cli):
         out = tmp_path / "u.json"
         res = cli("generate", "--kind", "selection", "--n", 8, "-K", 4,
                   "--alpha", "uniform", "--seed", 0, "--out", out)
@@ -95,13 +110,13 @@ class TestGenerate:
 
 class TestSolve:
     def test_brute_on_paths_example(self):
-        res = cli("solve", "--in", GOLDEN / "paths_example.json", "--method", "brute")
+        res = cli_process("solve", "--in", GOLDEN / "paths_example.json", "--method", "brute")
         assert res.returncode == 0
         fields = report_fields(res.stdout)
         assert float(fields["value"]) == pytest.approx(6.0, abs=1e-9)
         assert fields["status"] == "optimal"
 
-    def test_bb_equals_brute(self, tmp_path):
+    def test_bb_equals_brute(self, tmp_path, cli):
         inst_path = tmp_path / "i.json"
         cli("generate", "--kind", "selection", "--n", 12, "--q", 3, "-K", 5,
             "--alpha", 0.001, "--seed", 3, "--out", inst_path)
@@ -109,7 +124,7 @@ class TestSolve:
         brute = report_fields(cli("solve", "--in", inst_path, "--method", "brute").stdout)
         assert bb["value"] == brute["value"]
 
-    def test_approx_reports_guarantee_one_for_uniform_v(self, tmp_path):
+    def test_approx_reports_guarantee_one_for_uniform_v(self, tmp_path, cli):
         inst_path = tmp_path / "u.json"
         cli("generate", "--kind", "selection", "--n", 10, "-K", 4,
             "--alpha", "uniform", "--seed", 5, "--out", inst_path)
@@ -117,7 +132,7 @@ class TestSolve:
         assert fields["status"] == "guaranteed"
         assert float(fields["bound"]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_writes_solution_file(self, tmp_path):
+    def test_writes_solution_file(self, tmp_path, cli):
         out = tmp_path / "sol.json"
         res = cli("solve", "--in", GOLDEN / "paths_example.json", "--method", "brute",
                   "--out", out)
@@ -129,14 +144,14 @@ class TestSolve:
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert cli("solve", "--in", bad, "--method", "brute").returncode == 2
+        assert cli_process("solve", "--in", bad, "--method", "brute").returncode == 2
 
     def test_missing_input_is_io_error(self, tmp_path):
-        res = cli("solve", "--in", tmp_path / "missing.json", "--method", "brute")
+        res = cli_process("solve", "--in", tmp_path / "missing.json", "--method", "brute")
         assert res.returncode == 1
         assert "cannot read" in res.stderr and "Traceback" not in res.stderr
 
-    def test_ragged_costs_exit_code(self, tmp_path):
+    def test_ragged_costs_exit_code(self, tmp_path, cli):
         bad = tmp_path / "ragged.json"
         doc = json.loads((GOLDEN / "selection_tiny.json").read_text())
         doc["costs"][0] = doc["costs"][0][:-1]
@@ -165,7 +180,7 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert "argument --time-limit" in err and "value=" not in out
 
-    def test_infinite_time_limit_solves_to_optimality(self):
+    def test_infinite_time_limit_solves_to_optimality(self, cli):
         res = cli("solve", "--in", GOLDEN / "paths_example.json", "--method", "bb",
                   "--time-limit", "inf")
         assert res.returncode == 0, res.stderr
@@ -173,7 +188,7 @@ class TestSolve:
 
 
 class TestEval:
-    def test_path1_omegas_and_value(self):
+    def test_path1_omegas_and_value(self, cli):
         res = cli("eval", "--in", GOLDEN / "paths_example.json",
                   "--solution", GOLDEN / "paths_x1.json")
         assert res.returncode == 0
@@ -184,13 +199,13 @@ class TestEval:
         costs = [float(x) for x in lines["scenario_costs"].split(",")]
         assert costs == [10.0, 1.0, 1.0, 2.0]
 
-    def test_path2_value(self):
+    def test_path2_value(self, cli):
         res = cli("eval", "--in", GOLDEN / "paths_example.json",
                   "--solution", GOLDEN / "paths_x2.json")
         lines = dict(l.split("=", 1) for l in res.stdout.strip().splitlines())
         assert float(lines["value"]) == pytest.approx(6.32, abs=1e-9)
 
-    def test_path3_value(self):
+    def test_path3_value(self, cli):
         res = cli("eval", "--in", GOLDEN / "paths_example.json",
                   "--solution", GOLDEN / "paths_x3.json")
         lines = dict(l.split("=", 1) for l in res.stdout.strip().splitlines())
@@ -199,12 +214,12 @@ class TestEval:
     def test_infeasible_solution_exit_code(self, tmp_path):
         bad = tmp_path / "bad_sol.json"
         bad.write_text(json.dumps({"format": 1, "chosen": [0, 4]}))
-        res = cli("eval", "--in", GOLDEN / "paths_example.json", "--solution", bad)
+        res = cli_process("eval", "--in", GOLDEN / "paths_example.json", "--solution", bad)
         assert res.returncode == 3
 
 
 class TestExportMip:
-    def test_matches_golden(self, tmp_path):
+    def test_matches_golden(self, tmp_path, cli):
         out = tmp_path / "tiny.lp"
         res = cli("export-mip", "--in", GOLDEN / "selection_tiny.json", "--out", out)
         assert res.returncode == 0
@@ -215,12 +230,12 @@ class TestExportMip:
         doc = json.loads((GOLDEN / "selection_tiny.json").read_text())
         doc["v"] = [0.3, 0.7]
         inst_path.write_text(json.dumps(doc))
-        res = cli("export-mip", "--in", inst_path, "--out", tmp_path / "x.lp")
+        res = cli_process("export-mip", "--in", inst_path, "--out", tmp_path / "x.lp")
         assert res.returncode == 4
         assert "nonincreasing" in res.stderr
 
 
-    def test_bb_non_monotone_weights_exit_code(self, tmp_path):
+    def test_bb_non_monotone_weights_exit_code(self, tmp_path, cli):
         inst_path = tmp_path / "nm.json"
         doc = json.loads((GOLDEN / "selection_tiny.json").read_text())
         doc["v"] = [0.3, 0.7]
@@ -231,7 +246,7 @@ class TestExportMip:
 
 
 class TestBench:
-    def test_single_cell_single_instance(self, tmp_path):
+    def test_single_cell_single_instance(self, tmp_path, cli):
         cfg = {"kind": "selection", "size": 10, "K": [2], "alpha": [0.01],
                "instances": 1, "seed": 3, "method": "brute"}
         cfg_path = tmp_path / "cfg.json"
@@ -247,7 +262,7 @@ class TestBench:
         assert "cell kind=selection" in res.stderr
         assert summary.read_text().count("\n") == 2
 
-    def test_rerun_reproduces_value_columns(self, tmp_path):
+    def test_rerun_reproduces_value_columns(self, tmp_path, cli):
         cfg = {"kind": "assignment", "size": 3, "K": [2], "alpha": [0.01, "uniform"],
                "instances": 2, "seed": 9, "method": "bb"}
         cfg_path = tmp_path / "cfg.json"
@@ -261,7 +276,7 @@ class TestBench:
 
         assert values(first) == values(second)
 
-    def test_bad_config_exit_code(self, tmp_path):
+    def test_bad_config_exit_code(self, tmp_path, cli):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"kind": "nope", "size": 5}))
         res = cli("bench", "--config", cfg_path, "--out-csv", tmp_path / "x.csv")
@@ -295,7 +310,7 @@ class TestBench:
             "alpha-out-of-range", "size-float", "n-string", "time-limit-string", "seed-string",
             "seed-float", "instances-float", "kind-int", "method-list", "lp-dir-int",
             "lp-dir-with-bb"])
-    def test_rejected_config_exit_code(self, tmp_path, cfg, named):
+    def test_rejected_config_exit_code(self, tmp_path, cfg, named, cli):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         res = cli("bench", "--config", cfg_path, "--out-csv", tmp_path / "x.csv")
@@ -323,7 +338,7 @@ class TestBench:
         assert not (tmp_path / "x.csv").exists()
 
 
-def test_help_documents_zero_based_indices():
+def test_help_documents_zero_based_indices(cli):
     res = cli("--help")
     assert res.returncode == 0
     assert "0-based" in res.stdout

@@ -338,14 +338,15 @@ def test_brute_force_outcomes_are_pinned(name):
 # the kernel shows here.  The objectives were recorded before the node bound
 # evaluated its completions in one batch and stopped at the incumbent, and
 # have held since; the node counts are those of the averaged Frank-Wolfe
-# direction warm-started from the parent, with 6 steps per node, and of
-# reduced-cost fixing of selection elements.
+# direction warm-started from the parent, with 6 steps per node, of
+# reduced-cost fixing of selection elements and of bounding up to 16 open
+# nodes per batch.
 _BB_PINS = [
-    ("selection", 20, 5, 1e-2, 700, 59, "0x1.3ddfabfcd6dc1p+7"),
+    ("selection", 20, 5, 1e-2, 700, 57, "0x1.3ddfabfcd6dc1p+7"),
     ("selection", 20, 5, 1e-4, 701, 17, "0x1.a80c231152dddp+7"),
     ("selection", 20, 10, 1e-2, 702, 31, "0x1.0500d5cdbf7d8p+8"),
     ("selection", 20, 10, 1e-4, 703, 145, "0x1.f6bca22120762p+7"),
-    ("assignment", 6, 5, 1e-2, 704, 17, "0x1.b4abadfd44fa3p+7"),
+    ("assignment", 6, 5, 1e-2, 704, 19, "0x1.b4abadfd44fa3p+7"),
     ("assignment", 6, 5, 1e-4, 705, 25, "0x1.02df2c1fc6b0ep+8"),
     ("assignment", 6, 10, 1e-2, 706, 17, "0x1.180b5902ee69cp+8"),
     ("assignment", 6, 10, 1e-4, 707, 45, "0x1.19e55f7228376p+8"),
@@ -488,7 +489,7 @@ class TestBranchAndBound:
             ctx = _BBContext(inst)
             e1, e2 = rng.choice(8, size=2, replace=False).tolist()
             fix = PartialFixing(frozenset({e1}), frozenset({e2}))
-            bound, *_, warm = ctx.node_bound(fix, np.inf)
+            (bound, _, warm), = ctx.node_bounds([fix], np.inf, [None])[0]
             completions = [
                 wowa_value(inst, Solution((e1,) + rest))
                 for rest in itertools.combinations(
@@ -496,10 +497,13 @@ class TestBranchAndBound:
                 )
             ]
             assert bound <= min(completions) + TOL
-            # a child warm-started from that state still gets a valid bound
+            # a child warm-started from that state still gets a valid bound,
+            # bounded in one batch with its sibling
             e3 = int(rng.choice([i for i in range(8) if i not in (e1, e2)]))
             child = PartialFixing(fix.forced_in | {e3}, fix.forced_out)
-            child_bound, *_, (w, _, _) = ctx.node_bound(child, np.inf, warm)
+            sibling = PartialFixing(fix.forced_in, fix.forced_out | {e3})
+            results, _ = ctx.node_bounds([child, sibling], np.inf, [warm, warm])
+            child_bound, _, (w, _, _) = results[0]
             child_completions = [
                 wowa_value(inst, Solution((e1, e3) + rest))
                 for rest in itertools.combinations(
@@ -516,17 +520,18 @@ class TestBranchAndBound:
         from wowaopt import exact
 
         fixings = []
+        solve_rows = Selection.solve_rows
 
-        def counting_solve(kind, costs, fix):
-            fixings.append(fix)
-            return solve_with_costs(kind, costs, fix)
+        def counting_rows(kind, costs, fixes):
+            fixings.extend(fixes)
+            return solve_rows(kind, costs, fixes)
 
-        monkeypatch.setattr(exact, "solve_with_costs", counting_solve)
+        monkeypatch.setattr(Selection, "solve_rows", counting_rows)
         rng = np.random.RandomState(13)
         for _ in range(40):
             inst = random_instance(rng, "selection", 10, rng.randint(2, 6), q=3)
             ctx = exact._BBContext(inst)
-            *_, warm = ctx.node_bound(PartialFixing(), np.inf)
+            (*_, warm), = ctx.node_bounds([PartialFixing()], np.inf, [None])[0]
             w, _, last = warm
             e = int(rng.randint(10))
             forced_in, forced_out = PartialFixing({e}, ()), PartialFixing((), {e})
@@ -534,14 +539,15 @@ class TestBranchAndBound:
             # for selection the reused solve is the one the child would make, to the bit
             sol, value = solve_with_costs(inst.kind, w @ ctx.C, admitting)
             assert (sol, value.hex()) == (last[0], last[1].hex())
+            fixings.clear()
+            ctx.node_bounds([forced_in, forced_out], np.inf, [warm, warm])
             for child in (forced_in, forced_out):
-                fixings.clear()
-                ctx.node_bound(child, np.inf, warm)
-                assert len(fixings) == exact._FW_STEPS - (child is admitting)
+                assert sum(f is child for f in fixings) == exact._FW_STEPS - (child is admitting)
 
     def test_reused_solve_bounds_tie_heavy_assignment_children(self):
         # On 0-2 costs the Hungarian may return another of the tied matchings
         # than the reused one; every bound down to depth 3 must still hold.
+        # Each level of the tree is bounded in one batch.
         from wowaopt.exact import _BBContext
 
         m = 5
@@ -553,23 +559,92 @@ class TestBranchAndBound:
             inst = _tie_heavy_assignment(rng, m)
             values = [(set(sol.chosen), wowa_value(inst, sol)) for sol in matchings]
             ctx = _BBContext(inst)
-            stack = [(PartialFixing(), None)]
-            while stack:
-                fix, warm = stack.pop()
-                bound, completion, _, child_warm = ctx.node_bound(fix, np.inf, warm)
-                assert bound <= min(
-                    value for chosen, value in values
-                    if fix.forced_in <= chosen and not fix.forced_out & chosen
-                ) + TOL
-                if warm is not None:
-                    last = warm[2][0]
-                    if fix.forced_in <= set(last.chosen) and not fix.forced_out & set(last.chosen):
-                        other_tie += solve_with_costs(inst.kind, warm[0] @ ctx.C, fix)[0] != last
-                e = ctx.branch_element(fix, completion)
-                if e is not None and len(fix.forced_in) + len(fix.forced_out) < 3:
-                    stack.append((PartialFixing(fix.forced_in | {e}, fix.forced_out), child_warm))
-                    stack.append((PartialFixing(fix.forced_in, fix.forced_out | {e}), child_warm))
+            level = [(PartialFixing(), None)]
+            while level:
+                fixes, warms = (list(side) for side in zip(*level))
+                results, _ = ctx.node_bounds(fixes, np.inf, warms)
+                level = []
+                for fix, warm, result in zip(fixes, warms, results):
+                    assert result is not None
+                    bound, completion, child_warm = result
+                    assert bound <= min(
+                        value for chosen, value in values
+                        if fix.forced_in <= chosen and not fix.forced_out & chosen
+                    ) + TOL
+                    if warm is not None:
+                        last = warm[2][0]
+                        if (fix.forced_in <= set(last.chosen)
+                                and not fix.forced_out & set(last.chosen)):
+                            other_tie += solve_with_costs(inst.kind, warm[0] @ ctx.C, fix)[0] != last
+                    e = ctx.branch_element(fix, completion)
+                    if e is not None and len(fix.forced_in) + len(fix.forced_out) < 3:
+                        level.append((PartialFixing(fix.forced_in | {e}, fix.forced_out), child_warm))
+                        level.append((PartialFixing(fix.forced_in, fix.forced_out | {e}), child_warm))
         assert other_tie > 0  # the case the test is for did occur
+
+    def test_node_bounds_are_lockstep_invariant(self):
+        # Each node of a batch gets, to the bit, the bound, attaining solve and
+        # warm state that it gets alone on a fresh search; the batch meets the
+        # completions that the nodes meet alone.  Batches mix warm and cold
+        # nodes, children that reuse their parent's last solve, fixings
+        # without completion, and targets that stop nodes at different steps.
+        from wowaopt.exact import _BBContext
+
+        def bits(a):
+            return None if a is None else np.asarray(a).tobytes()
+
+        def outcome(result):
+            if result is None:
+                return None
+            bound, (sol, costs), (w, avg, (last, value, last_costs)) = result
+            return (bound.hex(), sol, bits(costs), bits(w), bits(avg), last,
+                    value.hex(), bits(last_costs))
+
+        def met(new):
+            return {sol.chosen: bits(costs) for sol, costs in new}
+
+        rng = np.random.RandomState(17)
+        cases = 0
+        for trial in range(60):
+            kind = ("selection", "assignment")[trial % 2]
+            inst = random_instance(rng, kind, 12 if kind == "selection" else 4,
+                                   rng.randint(1, 8), q=rng.randint(2, 6))
+            ctx = _BBContext(inst)
+            elements = rng.permutation(inst.n).tolist()
+            parents = [PartialFixing(elements[:j], elements[j:j + 2]) for j in range(3)]
+            parents = [fix for fix in parents if inst.kind.free_elements(fix, inst.n)]
+            results, _ = ctx.node_bounds(parents, np.inf, [None] * len(parents))
+            fixes, warms = [], []
+            for fix, result in zip(parents, results):
+                if result is None:
+                    continue
+                warm, chosen = result[2], result[2][2][0].chosen
+                for e in rng.choice(sorted(inst.kind.free_elements(fix, inst.n)), size=2):
+                    e = int(e)
+                    fixes += [PartialFixing(fix.forced_in | {e}, fix.forced_out),
+                              PartialFixing(fix.forced_in, fix.forced_out | {e})]
+                    warms += [warm, warm] if e in chosen or rng.randint(2) else [warm, None]
+            # a fixing without completion: too many forced in, or a row forced out
+            if kind == "selection":
+                fixes.append(PartialFixing(range(inst.kind.q + 1), ()))
+            else:
+                fixes.append(PartialFixing((), range(inst.kind.m)))
+            warms.append(None)
+            order = rng.permutation(len(fixes))
+            fixes, warms = [fixes[i] for i in order], [warms[i] for i in order]
+            alone = [_BBContext(inst).node_bounds([fix], np.inf, [warm]) for fix, warm in zip(fixes, warms)]
+            finite = [result[0] for (result,), _ in alone if result is not None]
+            # stop some nodes early: a target among the nodes' own bounds
+            target = (np.inf, float(np.median(finite)))[trial % 3 > 0]
+            if trial % 3 > 0:
+                alone = [_BBContext(inst).node_bounds([fix], target, [warm])
+                         for fix, warm in zip(fixes, warms)]
+            together, new = _BBContext(inst).node_bounds(fixes, target, warms)
+            assert [outcome(r) for r in together] == [outcome(r) for (r,), _ in alone]
+            assert len(met(new)) == len(new)  # each completion once
+            assert met(new) == {k: v for _, single in alone for k, v in met(single).items()}
+            cases += sum(r is None for r in together)
+        assert cases >= 60  # every batch held a fixing without completion
 
     def test_matches_brute_force_on_tie_heavy_assignment(self):
         rng = np.random.RandomState(15)
