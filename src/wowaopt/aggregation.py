@@ -11,7 +11,7 @@ importance weights it reduces to the expected value, and the vector
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -353,10 +353,16 @@ def generate_weights(alpha: float, k: int) -> WeightVector:
     nonincreasing and each within 1e-12 (absolute) of the increments of the
     expm1 form, which is accurate to a few ulps; otherwise the running minimum
     of the latter is returned.  So each weight is within about 1e-12 of exact.
+    Each (float(alpha), K) vector is made once and shared: it is immutable.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    _check_k(k)
+    _check_k(k)  # before the cache, which would take True or 2.0 for 1 or 2
+    return _generated_weights(float(alpha), int(k))
+
+
+@lru_cache(maxsize=64)
+def _generated_weights(alpha: float, k: int) -> WeightVector:
     z = np.arange(k + 1) / k
     v = np.diff((1.0 - alpha**z) / (1.0 - alpha))
     # The rounding error of 1 - alpha**z, about 1e-16 / (1 - alpha) after the

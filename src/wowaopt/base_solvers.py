@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "BLOCK_ROWS",
     "solve_selection",
     "solve_assignment",
+    "assign_rows",
     "solve_with_costs",
     "BaseSolver",
     "EXACT_BASE",
@@ -90,6 +92,32 @@ class PartialFixing:
             self.__dict__["_shift"] = row
         return row
 
+    def reduction(self, m: int):
+        """The reduction of an m-by-m assignment; None when forced-in edges share a row or column.
+
+        (forced-in edges, free, getters): free holds each free row's edges to
+        the free columns, ascending, with m * m for a forced-out one; getters
+        the itemgetter of each.  Kept after the first call, like ``shift``.
+        """
+        cached = self.__dict__.get("_reduction")
+        if cached is None or cached[0] != m:
+            n = m * m
+            if any(not 0 <= e < n for e in self.forced_in | self.forced_out):
+                raise ValueError(f"fixed edge index outside 0..{n - 1}")
+            forced_in = sorted(int(e) for e in self.forced_in)
+            rows = {e // m for e in forced_in}
+            cols = {e % m for e in forced_in}
+            reduction = None
+            if len(rows) == len(cols) == len(forced_in):
+                free_cols = [col for col in range(m) if col not in cols]
+                free = [[n if s + col in self.forced_out else s + col for col in free_cols]
+                        for s in range(0, n, m) if s // m not in rows]
+                getters = [itemgetter(*edges) if len(edges) > 1 else itemgetter(slice(edges[0], edges[0] + 1))
+                           for edges in free]  # one index alone would give the entry, not a sequence
+                reduction = (forced_in, free, getters)
+            cached = self.__dict__["_reduction"] = (m, reduction)
+        return cached[1]
+
 
 NO_FIXING = PartialFixing()
 
@@ -120,20 +148,22 @@ class ProblemKind:
     * ``to_json()`` and the classmethod ``from_json(body)``: the body of its
       JSON object, the part under ``tag``.
 
-    The branch-and-bound bounds its nodes in batches through
-    ``solve_rows(costs, fixes)``: row i of a cost matrix solved under
-    ``fixes[i]``, None where that fixing has no completion.  By default it
-    calls ``solve`` row by row; a kind may solve all rows at once, but must
-    return what ``solve`` returns, to the bit.  The search branches on
-    ``free_elements(fix, n)`` and drops a branch without a completion.  Before it
-    branches, ``reduced_fixing(costs, fix, sol, z, cutoff)`` may fix more
-    elements from the node's bounding solve: ``sol`` of value ``z`` is
-    ``solve(costs, fix)``, and an element may be fixed in (out) when every
-    completion with it out (in) costs at least ``cutoff`` under ``costs``.
-    ``sol`` must stay admissible.  By default nothing more is fixed.
+    The branch-and-bound bounds a node with ``fw_steps`` Frank-Wolfe steps
+    (6 unless a kind sets it), each one ``solve_rows(costs, fixes)`` call for
+    its batch: row i of a cost matrix solved under ``fixes[i]``, None where
+    that fixing has no completion.  By default it calls ``solve`` row by row;
+    a kind may solve all rows at once, but must return what ``solve``
+    returns, to the bit.  The search branches on ``free_elements(fix, n)``
+    and drops a branch without a completion.  Before it branches,
+    ``reduced_fixing(costs, fix, sol, z, cutoff)`` may fix more elements from
+    the node's bounding solve: ``sol`` of value ``z`` is ``solve(costs,
+    fix)``, and an element may be fixed in (out) when every completion with
+    it out (in) costs at least ``cutoff`` under ``costs``.  ``sol`` must stay
+    admissible.  By default nothing more is fixed.
     """
 
     tag: str
+    fw_steps = 6
 
     def solve_rows(self, costs: np.ndarray, fixes: Sequence[PartialFixing]) -> list:
         """``solve`` of each row of costs under its own fixing; None where it has no completion."""
@@ -194,94 +224,106 @@ def solve_selection(costs, q: int, fix: PartialFixing = NO_FIXING) -> tuple[Solu
     return Solution._ascending(chosen[0].tolist()), float(total[0])
 
 
-def _hungarian(cost: list[list[float]]) -> list[int]:
-    # O(m^3) shortest-augmenting-path form with row/column potentials.
-    # The result is optimal and deterministic: of tied optima it returns the
-    # same one on every call, not necessarily the lexicographically first.
-    # An entry of +inf is a forbidden edge: a search that reaches no column
-    # at a finite distance proves that no perfect matching avoids them.
+def _hungarian(cost) -> Optional[list[int]]:
+    # The row matched to each column by the O(m^3) shortest-augmenting-path
+    # form with row/column potentials: optimal, and of tied optima the same
+    # one on every call, not necessarily the lexicographically first.  +inf
+    # is a forbidden edge; None means no perfect matching avoids them.
+    # Column m is the virtual column a row's search starts from.
     m = len(cost)
-    INF = float("inf")
-    u = [0.0] * (m + 1)
+    INF = math.inf
+    u = [0.0] * m
     v = [0.0] * (m + 1)
-    match = [0] * (m + 1)  # 1-based: match[j] = row assigned to column j
-    way = [0] * (m + 1)
-    for i in range(1, m + 1):
-        match[0] = i
-        j0 = 0
-        minv = [INF] * (m + 1)
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
+    match = [-1] * (m + 1)  # match[j] = row assigned to column j, -1 if none
+    for i in range(m):
+        match[m] = i
+        ui = u[i]
+        # the first step from column m in whole-list passes, ties to the first column
+        minv = [cur if (cur := c - ui - vj) < INF else INF for c, vj in zip(cost[i], v)]
+        way = [m] * m
+        delta = min(minv)
+        if not delta < INF:
+            return None
+        j0 = minv.index(delta)
+        u[i] += delta
+        v[m] -= delta
+        free = list(range(m))  # the columns not reached yet, ascending
+        del free[j0]
+        used = [m, j0]
+        while match[j0] >= 0:
             i0 = match[j0]
-            delta = INF
-            j1 = -1
-            row = cost[i0 - 1]
-            for j in range(1, m + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
+            ui = u[i0]
+            row = cost[i0]
+            last, delta, j1 = delta, INF, -1
+            for j in free:
+                mj = minv[j] - last  # the last step's decrement, made when next read
+                cur = row[j] - ui - v[j]
+                if cur < mj:
+                    mj = cur
+                    way[j] = j0
+                minv[j] = mj
+                if mj < delta:
+                    delta = mj
+                    j1 = j
             if j1 < 0:
-                raise FeasibilityError("fixing does not extend to a perfect matching")
-            for j in range(m + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+                return None
+            for j in used:
+                u[match[j]] += delta
+                v[j] -= delta
+            free.remove(j1)
+            used.append(j1)
             j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
+        while j0 != m:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    row_to_col = [0] * m
-    for j in range(1, m + 1):
-        row_to_col[match[j] - 1] = j - 1
-    return row_to_col
+    return match[:m]
+
+
+def assign_rows(costs: np.ndarray, m: int, fixes: Sequence[PartialFixing]) -> list:
+    """Each row's minimum-cost perfect matching under its own fixing and its total; None where it has none.
+
+    A row holds the m*m edge costs, edge (row, col) at row * m + col.  The
+    reduction drops the forced-in rows and columns and makes forced-out edges
+    +inf, which the Hungarian method never matches.  Totals add in index order.
+    """
+    out = []
+    for flat, fix in zip(costs.tolist(), fixes):
+        reduction = fix.reduction(m)
+        if reduction is None:
+            out.append(None)
+            continue
+        chosen, free, getters = reduction
+        if free:
+            flat.append(math.inf)  # at index m * m, the cost of a forced-out edge
+            col_to_row = _hungarian([get(flat) for get in getters])
+            if col_to_row is None:
+                out.append(None)
+                continue
+            chosen = sorted(chosen + [free[r][j] for j, r in enumerate(col_to_row)])
+        total = 0.0
+        for e in chosen:  # in index order, one add at a time
+            total += flat[e]
+        out.append((Solution._ascending(chosen), total))
+    return out
 
 
 def solve_assignment(cost_matrix, fix: PartialFixing = NO_FIXING) -> tuple[Solution, float]:
     """Minimum-cost perfect matching on an m-by-m matrix, Hungarian method.
 
-    Fixed edges are handled by matrix reduction: forced-in rows/columns are
-    removed and forced-out entries become +inf, which the Hungarian method
-    never matches.  Edge (row, col) is flat element row * m + col.
+    The one-row case of ``assign_rows``.  Edge (row, col) is flat element
+    row * m + col.
     """
     c = np.asarray(cost_matrix, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")
     m = c.shape[0]
-
-    if any(not 0 <= e < m * m for e in fix.forced_in | fix.forced_out):
-        raise ValueError(f"fixed edge index outside 0..{m * m - 1}")
-    in_pairs = [divmod(e, m) for e in fix.forced_in]
-    rows_used = {r for r, _ in in_pairs}
-    cols_used = {col for _, col in in_pairs}
-    if len(rows_used) != len(in_pairs) or len(cols_used) != len(in_pairs):
+    if fix.reduction(m) is None:
         raise FeasibilityError("forced-in edges are not a partial matching")
-
-    free_rows = [r for r in range(m) if r not in rows_used]
-    free_cols = [col for col in range(m) if col not in cols_used]
-    rows = c.tolist()
-    chosen = list(fix.forced_in)
-    if free_rows:
-        out = fix.forced_out
-        reduced = [[math.inf if r * m + col in out else rows[r][col] for col in free_cols]
-                   for r in free_rows]
-        row_to_col = _hungarian(reduced)
-        chosen += [free_rows[r] * m + free_cols[col] for r, col in enumerate(row_to_col)]
-    sol = Solution(chosen)
-    total = 0.0
-    for e in sol.chosen:  # in index order, one add at a time
-        total += rows[e // m][e % m]
-    return sol, total
+    (solved,) = assign_rows(c.reshape(1, -1), m, [fix])
+    if solved is None:
+        raise FeasibilityError("fixing does not extend to a perfect matching")
+    return solved
 
 
 def solve_with_costs(kind: ProblemKind, costs, fix: PartialFixing = NO_FIXING) -> tuple[Solution, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -157,7 +158,8 @@ def _cmd_solve(args) -> int:
             bound = _fmt(res.ratio_bound) if res.ratio_bound is not None else "-"
         elif args.method == "bb":
             res = exact_bb(inst, time_limit=args.time_limit)
-            sol, value, status, bound = res.solution, res.objective, res.proof_status, "-"
+            sol, value, status = res.solution, res.objective, res.proof_status
+            bound = _fmt(res.lower_bound) if math.isfinite(res.lower_bound) else "-"
         else:
             res = brute_force(inst)
             sol, value, status, bound = res.solution, res.objective, res.proof_status, "-"

@@ -41,6 +41,7 @@ class ExactResult:
     objective: float
     node_count: int
     proof_status: str  # "optimal" or "time_limit"
+    lower_bound: float  # proven: the objective when optimal, else possibly -inf
     optimal_is_pareto: Optional[bool] = None
 
 
@@ -134,6 +135,7 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
         objective=best_val,
         node_count=size,
         proof_status="optimal",
+        lower_bound=best_val,
         optimal_is_pareto=pareto,
     )
 
@@ -149,8 +151,9 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
 # the node's partial fixing; a few Frank-Wolfe steps on w tighten the bound
 # toward the LP bound max_w min_X w.F(X).  Each step points w at the rank
 # weights of the running average of the completions' costs (fictitious play;
-# the latest completion alone makes w cycle), and a child continues from its
-# parent's final (w, average) at step _FW_STEPS; the root starts from p.
+# the latest completion alone makes w cycle).  A node makes the kind's
+# fw_steps solves; a child continues from its parent's final (w, average) at
+# step fw_steps, and the root starts from p.
 # Every relaxation solve also yields a feasible completion, which improves
 # the incumbent for free.  The search remembers each completion it meets
 # with its scenario costs, so each is costed once and evaluated once: a
@@ -180,7 +183,6 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
 # may bound a node that a search of one node at a time would have pruned.
 # ---------------------------------------------------------------------------
 
-_FW_STEPS = 6
 _BB_BATCH = 16  # the most open nodes one node_bounds call bounds
 
 
@@ -203,14 +205,15 @@ class _BBContext:
         (Solution, value, element costs) is its first solve when its fixing
         admits it.  Each step makes one matmul, one ``solve_rows`` and one
         ranking call for the nodes still running; a node stops once its
-        bound reaches target, or after _FW_STEPS solves.  Every row is
-        computed as a batch of one would compute it, to the bit.  Returns,
+        bound reaches target, or after ``inst.kind.fw_steps`` solves.  Every
+        row is computed as a batch of one would compute it, to the bit.  Returns,
         per node, None when its fixing has no completion, else the bound,
         the (Solution, element costs) of the solve that attained it and the
         warm state of its children; and the (Solution, scenario costs) of the
         completions that the search had not met before, in the order met.
         """
         inst = self.inst
+        steps = inst.kind.fw_steps
         lasts: list = [None] * len(fixes)
         for i, (fix, warm) in enumerate(zip(fixes, warms)):
             last = None if warm is None else warm[2]
@@ -223,13 +226,13 @@ class _BBContext:
         fresh = [warm is None or warm[1] is None for warm in warms]  # no average yet
         AVG = np.array([np.zeros(inst.K) if f else warm[1] for f, warm in zip(fresh, warms)])
         # step sizes: a node continues its parent's count, one without an average starts at 0
-        GAMMA = 2.0 / (np.where(fresh, 0.0, _FW_STEPS)[:, None] + np.arange(_FW_STEPS) + 2.0)
+        GAMMA = 2.0 / (np.where(fresh, 0.0, steps)[:, None] + np.arange(steps) + 2.0)
         STAY = 1.0 - GAMMA
         bounds = [-np.inf] * len(fixes)
         attained: list = [None] * len(fixes)
         results: list = [None] * len(fixes)
         new: list[tuple[Solution, np.ndarray]] = []
-        for step in range(_FW_STEPS):
+        for step in range(steps):
             solves = [lasts[i] for i in nodes] if step == 0 else [None] * len(nodes)
             rows = [j for j, solved in enumerate(solves) if solved is None]
             if rows:
@@ -251,7 +254,7 @@ class _BBContext:
                 if entry is None:
                     entry = self.met[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
                     new.append(entry)
-                if bounds[i] >= target or step == _FW_STEPS - 1:
+                if bounds[i] >= target or step == steps - 1:
                     # the node ends on a solve, which is its solve under W[j]
                     avg = None if step == 0 and fresh[j] else AVG[j]
                     results[i] = (bounds[i], attained[i], (W[j], avg, solved))
@@ -306,7 +309,8 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     only valid lower bounds in that regime).  Open nodes are bounded in
     batches of up to _BB_BATCH, and the time limit is checked before each
     batch: on hitting it the best incumbent is returned with proof_status
-    "time_limit"; a NaN or nonpositive limit raises ValueError.
+    "time_limit" and, as lower_bound, the least pushed bound of the open
+    nodes; a NaN or nonpositive limit raises ValueError.
     """
     check_time_limit(time_limit)
     if not inst.v.is_nonincreasing:
@@ -329,6 +333,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     status = "optimal"
 
     while heap:
+        least = heap[0][0]  # the least pushed bound of the open nodes, the batch's first
         fixes, warms = [], []
         while heap and len(fixes) < _BB_BATCH:
             pushed_bound, _, fix, warm = heapq.heappop(heap)
@@ -373,4 +378,5 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
         objective=best_val,
         node_count=node_count,
         proof_status=status,
+        lower_bound=best_val if status == "optimal" else least,  # least < best_val
     )

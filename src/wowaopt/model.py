@@ -213,6 +213,7 @@ class Assignment(ProblemKind):
 
     m: int
     tag = "assignment"
+    fw_steps = 4  # its Hungarian solves cost more than the nodes more steps save
 
     def problems(self, n: int) -> list[str]:
         if not _is_int(self.m):
@@ -247,6 +248,9 @@ class Assignment(ProblemKind):
 
     def solve(self, costs, fix):
         return base_solvers.solve_assignment(costs.reshape(self.m, self.m), fix)
+
+    def solve_rows(self, costs, fixes):
+        return base_solvers.assign_rows(costs, self.m, fixes)
 
     def free_elements(self, fix: PartialFixing, n: int) -> set[int]:
         m = self.m

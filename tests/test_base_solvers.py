@@ -5,6 +5,7 @@ import pytest
 
 from oracles import min_assignment_by_permutations, min_selection_by_subsets
 from wowaopt import (
+    Assignment,
     FeasibilityError,
     PartialFixing,
     Selection,
@@ -145,6 +146,37 @@ class TestAssignment:
             assert obj == oracle
             assert sorted(c for _, c in sol.as_pairs(m)) == list(range(m))
             assert solve_assignment(cost) == (sol, obj)
+
+    def test_rows_match_one_row_solves(self):
+        # Assignment.solve_rows gives each row what solve_assignment gives it
+        # under a fresh copy of its fixing (no reduction kept yet), to the
+        # bit, and None exactly where it raises FeasibilityError
+        rng = np.random.RandomState(3)
+        infeasible = 0
+        for i in range(400):
+            m = 1 + i % 8
+            costs = rng.randint(0, 3, size=(6, m * m)).astype(float)
+            fixes = []
+            for _ in range(4):
+                matching = [r * m + c for r, c in enumerate(rng.permutation(m).tolist())]
+                order = matching + [e for e in rng.permutation(m * m).tolist() if e not in matching]
+                fixes.append(_pin_fixing(rng, order, rng.randint(0, m), m * m // 2))
+            r = rng.randint(m)
+            fixes.append(PartialFixing((), range(r * m, r * m + m)))  # row r fully forced out
+            if m > 1:  # two forced-in edges in one column: not a matching
+                c = rng.randint(m)
+                fixes.append(PartialFixing({c, m + c}, ()))
+            rows = Assignment(m=m).solve_rows(costs[:len(fixes)], fixes)
+            for row, fix, got in zip(costs, fixes, rows):
+                try:
+                    sol, value = solve_assignment(row.reshape(m, m), PartialFixing(fix.forced_in, fix.forced_out))
+                except FeasibilityError:
+                    assert got is None
+                    infeasible += 1
+                else:
+                    assert got is not None
+                    assert (repr(got[0].chosen), got[1].hex()) == (repr(sol.chosen), value.hex())
+        assert infeasible > 2 * 400
 
     def test_forced_in_edge(self):
         cost = np.array([[1.0, 9.0], [9.0, 1.0]])

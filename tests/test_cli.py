@@ -123,6 +123,15 @@ class TestSolve:
         bb = report_fields(cli("solve", "--in", inst_path, "--method", "bb").stdout)
         brute = report_fields(cli("solve", "--in", inst_path, "--method", "brute").stdout)
         assert bb["value"] == brute["value"]
+        assert bb["bound"] == bb["value"]  # the proven bound of an optimal search
+
+    def test_bb_time_limit_before_the_root_prints_no_bound(self, tmp_path, cli):
+        inst_path = tmp_path / "i.json"
+        cli("generate", "--kind", "assignment", "--m", 6, "-K", 10,
+            "--alpha", 0.0001, "--seed", 3, "--out", inst_path)
+        fields = report_fields(cli("solve", "--in", inst_path, "--method", "bb",
+                                   "--time-limit", 1e-9).stdout)
+        assert (fields["status"], fields["bound"]) == ("time_limit", "-")
 
     def test_approx_reports_guarantee_one_for_uniform_v(self, tmp_path, cli):
         inst_path = tmp_path / "u.json"

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -338,18 +339,18 @@ def test_brute_force_outcomes_are_pinned(name):
 # the kernel shows here.  The objectives were recorded before the node bound
 # evaluated its completions in one batch and stopped at the incumbent, and
 # have held since; the node counts are those of the averaged Frank-Wolfe
-# direction warm-started from the parent, with 6 steps per node, of
-# reduced-cost fixing of selection elements and of bounding up to 16 open
-# nodes per batch.
+# direction warm-started from the parent, with the kind's fw_steps per node
+# (6 for selection, 4 for assignment), of reduced-cost fixing of selection
+# elements and of bounding up to 16 open nodes per batch.
 _BB_PINS = [
     ("selection", 20, 5, 1e-2, 700, 57, "0x1.3ddfabfcd6dc1p+7"),
     ("selection", 20, 5, 1e-4, 701, 17, "0x1.a80c231152dddp+7"),
     ("selection", 20, 10, 1e-2, 702, 31, "0x1.0500d5cdbf7d8p+8"),
     ("selection", 20, 10, 1e-4, 703, 145, "0x1.f6bca22120762p+7"),
     ("assignment", 6, 5, 1e-2, 704, 19, "0x1.b4abadfd44fa3p+7"),
-    ("assignment", 6, 5, 1e-4, 705, 25, "0x1.02df2c1fc6b0ep+8"),
-    ("assignment", 6, 10, 1e-2, 706, 17, "0x1.180b5902ee69cp+8"),
-    ("assignment", 6, 10, 1e-4, 707, 45, "0x1.19e55f7228376p+8"),
+    ("assignment", 6, 5, 1e-4, 705, 31, "0x1.02df2c1fc6b0ep+8"),
+    ("assignment", 6, 10, 1e-2, 706, 23, "0x1.180b5902ee69cp+8"),
+    ("assignment", 6, 10, 1e-4, 707, 49, "0x1.19e55f7228376p+8"),
 ]
 
 
@@ -425,6 +426,19 @@ class TestBranchAndBound:
             inst = gen_instance("assignment", 8, 10, alpha, seed)
             assert exact_bb(inst).objective.hex() == brute_force(inst).objective.hex(), index
 
+    def test_desk_scale_assignment_is_pinned(self):
+        # the 60 assignment m=8 instances of the desk-scale grid (seed 2) in
+        # grid order: sha256 of each optimum's objective.hex() and chosen
+        # edges, and the node total at 4 Frank-Wolfe steps per node
+        results = [
+            exact_bb(gen_instance("assignment", 8, k, alpha, instance_seed(2, "assignment", 8, k, alpha, i)))
+            for k in (2, 5, 10) for alpha in (1e-2, 1e-4) for i in range(10)
+        ]
+        text = "".join(res.objective.hex() + repr(res.solution.chosen) for res in results)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7a2e9ea843e6deee68b6660880c8b35196c9c605df0a01e0df5b19a274a34f8b")
+        assert sum(res.node_count for res in results) == 5218
+
     def test_uniform_v_closes_at_root(self):
         rng = np.random.RandomState(7)
         for _ in range(10):
@@ -447,6 +461,7 @@ class TestBranchAndBound:
             res = exact_bb(inst)
             assert res.objective == wowa_value(inst, res.solution)
             assert res.proof_status == "optimal"
+            assert res.lower_bound == res.objective
 
     def test_time_limit_returns_incumbent(self):
         rng = np.random.RandomState(9)
@@ -454,6 +469,20 @@ class TestBranchAndBound:
         res = exact_bb(inst, time_limit=1e-9)  # spent by the incumbent heuristic
         assert res.proof_status == "time_limit"
         assert res.objective == wowa_value(inst, res.solution)
+        assert res.lower_bound == -np.inf  # the root was never bounded
+
+    def test_time_limit_reports_the_least_open_bound(self, monkeypatch):
+        # a clock that advances one second per reading stops the search
+        # after a few batches, with nodes bounded and nodes still open
+        from wowaopt import exact
+
+        inst = gen_instance("assignment", 6, 10, 1e-4, 707)
+        optimum = exact_bb(inst).objective
+        ticks = itertools.count()
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        res = exact_bb(inst, time_limit=4.5)
+        assert res.proof_status == "time_limit" and res.node_count > 1
+        assert -np.inf < res.lower_bound <= optimum <= res.objective
 
     @pytest.mark.parametrize("limit", [float("nan"), 0.0, -5.0, -float("inf")])
     def test_rejects_nan_and_nonpositive_time_limits(self, limit):
@@ -542,7 +571,7 @@ class TestBranchAndBound:
             fixings.clear()
             ctx.node_bounds([forced_in, forced_out], np.inf, [warm, warm])
             for child in (forced_in, forced_out):
-                assert sum(f is child for f in fixings) == exact._FW_STEPS - (child is admitting)
+                assert sum(f is child for f in fixings) == inst.kind.fw_steps - (child is admitting)
 
     def test_reused_solve_bounds_tie_heavy_assignment_children(self):
         # On 0-2 costs the Hungarian may return another of the tied matchings
