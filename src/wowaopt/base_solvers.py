@@ -95,26 +95,29 @@ class PartialFixing:
     def reduction(self, m: int):
         """The reduction of an m-by-m assignment; None when forced-in edges share a row or column.
 
-        (forced-in edges, free, getters): free holds each free row's edges to
-        the free columns, ascending, with m * m for a forced-out one; getters
-        the itemgetter of each.  Kept after the first call, like ``shift``.
+        (forced-in edges, free, getters, free rows, free columns): free holds
+        each free row's edges to the free columns, ascending, with m * m for a
+        forced-out one; getters the itemgetter of each.  Kept after the first
+        call, like ``shift``.
         """
         cached = self.__dict__.get("_reduction")
         if cached is None or cached[0] != m:
             n = m * m
-            if any(not 0 <= e < n for e in self.forced_in | self.forced_out):
+            fixed = self.forced_in | self.forced_out
+            if fixed and (min(fixed) < 0 or max(fixed) >= n):
                 raise ValueError(f"fixed edge index outside 0..{n - 1}")
             forced_in = sorted(int(e) for e in self.forced_in)
             rows = {e // m for e in forced_in}
             cols = {e % m for e in forced_in}
             reduction = None
             if len(rows) == len(cols) == len(forced_in):
+                free_rows = [row for row in range(m) if row not in rows]
                 free_cols = [col for col in range(m) if col not in cols]
                 free = [[n if s + col in self.forced_out else s + col for col in free_cols]
                         for s in range(0, n, m) if s // m not in rows]
                 getters = [itemgetter(*edges) if len(edges) > 1 else itemgetter(slice(edges[0], edges[0] + 1))
                            for edges in free]  # one index alone would give the entry, not a sequence
-                reduction = (forced_in, free, getters)
+                reduction = (forced_in, free, getters, free_rows, free_cols)
             cached = self.__dict__["_reduction"] = (m, reduction)
         return cached[1]
 
@@ -150,27 +153,30 @@ class ProblemKind:
 
     The branch-and-bound bounds a node with ``fw_steps`` Frank-Wolfe steps
     (6 unless a kind sets it), each one ``solve_rows(costs, fixes)`` call for
-    its batch: row i of a cost matrix solved under ``fixes[i]``, None where
-    that fixing has no completion.  By default it calls ``solve`` row by row;
-    a kind may solve all rows at once, but must return what ``solve``
-    returns, to the bit.  The search branches on ``free_elements(fix, n)``
-    and drops a branch without a completion.  Before it branches,
-    ``reduced_fixing(costs, fix, sol, z, cutoff)`` may fix more elements from
-    the node's bounding solve: ``sol`` of value ``z`` is ``solve(costs,
-    fix)``, and an element may be fixed in (out) when every completion with
-    it out (in) costs at least ``cutoff`` under ``costs``.  ``sol`` must stay
-    admissible.  By default nothing more is fixed.
+    its batch: for row i of a cost matrix under ``fixes[i]``, None where that
+    fixing has no completion, else ``solve``'s (Solution, cost), to the bit,
+    and the kind's certificate of that solve (None where a kind has none;
+    for assignment, the Hungarian's final potentials).  By default it calls
+    ``solve`` row by row; a kind may solve all rows at once.  The search
+    branches on ``free_elements(fix, n)`` and drops a branch without a
+    completion.  Before it branches, ``reduced_fixing(costs, fix, sol, z,
+    cutoff, certificate)`` may fix more elements from the solve that
+    attained the node's bound: ``sol`` of value ``z`` and its certificate,
+    solved under ``costs`` and ``fix`` or, when ``sol`` satisfies ``fix``,
+    under the parent's fixing.  An element may be fixed in (out) when every
+    completion with it out (in) costs at least ``cutoff`` under ``costs``.
+    ``sol`` must stay admissible.  By default nothing more is fixed.
     """
 
     tag: str
     fw_steps = 6
 
     def solve_rows(self, costs: np.ndarray, fixes: Sequence[PartialFixing]) -> list:
-        """``solve`` of each row of costs under its own fixing; None where it has no completion."""
+        """``solve`` of each row of costs under its own fixing, without a certificate; None where it has none."""
         out = []
         for row, fix in zip(costs, fixes):
             try:
-                out.append(self.solve(row, fix))
+                out.append((*self.solve(row, fix), None))
             except FeasibilityError:
                 out.append(None)
         return out
@@ -180,7 +186,7 @@ class ProblemKind:
         return set(range(n)) - fix.forced_in - fix.forced_out
 
     def reduced_fixing(self, costs, fix: PartialFixing, sol: Solution, z: float,
-                       cutoff: float) -> PartialFixing:
+                       cutoff: float, certificate) -> PartialFixing:
         """``fix`` with the elements the solve's prices decide; none by default."""
         return fix
 
@@ -224,12 +230,14 @@ def solve_selection(costs, q: int, fix: PartialFixing = NO_FIXING) -> tuple[Solu
     return Solution._ascending(chosen[0].tolist()), float(total[0])
 
 
-def _hungarian(cost) -> Optional[list[int]]:
+def _hungarian(cost) -> Optional[tuple[list[int], list[float], list[float]]]:
     # The row matched to each column by the O(m^3) shortest-augmenting-path
     # form with row/column potentials: optimal, and of tied optima the same
     # one on every call, not necessarily the lexicographically first.  +inf
     # is a forbidden edge; None means no perfect matching avoids them.
-    # Column m is the virtual column a row's search starts from.
+    # Column m is the virtual column a row's search starts from.  Also
+    # returns the final potentials (u, v): u_i + v_j <= cost[i][j] on every
+    # edge, with equality on the matched ones.
     m = len(cost)
     INF = math.inf
     u = [0.0] * m
@@ -277,15 +285,17 @@ def _hungarian(cost) -> Optional[list[int]]:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return match[:m]
+    return match[:m], u, v[:m]
 
 
 def assign_rows(costs: np.ndarray, m: int, fixes: Sequence[PartialFixing]) -> list:
-    """Each row's minimum-cost perfect matching under its own fixing and its total; None where it has none.
+    """Each row's minimum-cost perfect matching under its own fixing, its total and its duals; None where it has none.
 
     A row holds the m*m edge costs, edge (row, col) at row * m + col.  The
     reduction drops the forced-in rows and columns and makes forced-out edges
     +inf, which the Hungarian method never matches.  Totals add in index order.
+    The duals (free rows, free columns, u, v) are the Hungarian's final
+    potentials of the free rows and columns.
     """
     out = []
     for flat, fix in zip(costs.tolist(), fixes):
@@ -293,37 +303,41 @@ def assign_rows(costs: np.ndarray, m: int, fixes: Sequence[PartialFixing]) -> li
         if reduction is None:
             out.append(None)
             continue
-        chosen, free, getters = reduction
+        chosen, free, getters, rows, cols = reduction
+        u = v = ()  # no row is free
         if free:
             flat.append(math.inf)  # at index m * m, the cost of a forced-out edge
-            col_to_row = _hungarian([get(flat) for get in getters])
-            if col_to_row is None:
+            solved = _hungarian([get(flat) for get in getters])
+            if solved is None:
                 out.append(None)
                 continue
+            col_to_row, u, v = solved
             chosen = sorted(chosen + [free[r][j] for j, r in enumerate(col_to_row)])
         total = 0.0
         for e in chosen:  # in index order, one add at a time
             total += flat[e]
-        out.append((Solution._ascending(chosen), total))
+        out.append((Solution._ascending(chosen), total, (rows, cols, u, v)))
     return out
 
 
 def solve_assignment(cost_matrix, fix: PartialFixing = NO_FIXING) -> tuple[Solution, float]:
     """Minimum-cost perfect matching on an m-by-m matrix, Hungarian method.
 
-    The one-row case of ``assign_rows``.  Edge (row, col) is flat element
-    row * m + col.
+    The one-row case of ``assign_rows``; costs must be finite.  Edge (row,
+    col) is flat element row * m + col.
     """
     c = np.asarray(cost_matrix, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("assignment costs must be finite")
     m = c.shape[0]
     if fix.reduction(m) is None:
         raise FeasibilityError("forced-in edges are not a partial matching")
     (solved,) = assign_rows(c.reshape(1, -1), m, [fix])
     if solved is None:
         raise FeasibilityError("fixing does not extend to a perfect matching")
-    return solved
+    return solved[:2]
 
 
 def solve_with_costs(kind: ProblemKind, costs, fix: PartialFixing = NO_FIXING) -> tuple[Solution, float]:

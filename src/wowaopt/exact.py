@@ -170,8 +170,12 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
 # completion so removed can beat the incumbent.  For selection that price is
 # exactly z + c_e - c_in for an unchosen e and z - c_e + c_out for a chosen
 # one, with c_in the dearest chosen and c_out the cheapest unchosen free
-# cost.  The attaining completion stays admissible, so z bounds both
-# children.
+# cost.  For assignment the price is bounded below through the Hungarian's
+# final potentials, which a solve carries as its certificate: by z + r_e for
+# an unchosen edge e, r_e its reduced cost, and for a chosen one by z plus
+# the least r of the other free edges in its row plus the least in its
+# column.  A child that reuses its parent's last solve reuses its potentials
+# too.  The attaining completion stays admissible, so z bounds both children.
 #
 # Lockstep batches: the search pops up to _BB_BATCH open nodes whose pushed
 # bound is below the cutoff and bounds them together.  Their Frank-Wolfe
@@ -202,15 +206,16 @@ class _BBContext:
 
         Node i starts from ``warms[i]``, its parent's final (w, avg, last
         solve), or from (p, None, None) when that is None; the parent's last
-        (Solution, value, element costs) is its first solve when its fixing
-        admits it.  Each step makes one matmul, one ``solve_rows`` and one
-        ranking call for the nodes still running; a node stops once its
-        bound reaches target, or after ``inst.kind.fw_steps`` solves.  Every
-        row is computed as a batch of one would compute it, to the bit.  Returns,
-        per node, None when its fixing has no completion, else the bound,
-        the (Solution, element costs) of the solve that attained it and the
-        warm state of its children; and the (Solution, scenario costs) of the
-        completions that the search had not met before, in the order met.
+        (Solution, value, certificate, element costs) is its first solve when
+        its fixing admits it.  Each step makes one matmul, one ``solve_rows``
+        and one ranking call for the nodes still running; a node stops once
+        its bound reaches target, or after ``inst.kind.fw_steps`` solves.
+        Every row is computed as a batch of one would compute it, to the bit.
+        Returns, per node, None when its fixing has no completion, else the
+        bound, the (Solution, element costs, certificate) of the solve that
+        attained it and the warm state of its children; and the (Solution,
+        scenario costs) of the completions that the search had not met
+        before, in the order met.
         """
         inst = self.inst
         steps = inst.kind.fw_steps
@@ -246,10 +251,10 @@ class _BBContext:
             for j, (i, solved) in enumerate(zip(nodes, solves)):
                 if solved is None:  # the fixing has no completion
                     continue
-                sol, value, costs_i = solved
+                sol, value, certificate, costs_i = solved
                 if value > bounds[i]:
                     bounds[i] = value
-                    attained[i] = (sol, costs_i)
+                    attained[i] = (sol, costs_i, certificate)
                 entry = self.met.get(sol.chosen)
                 if entry is None:
                     entry = self.met[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
@@ -282,11 +287,11 @@ class _BBContext:
         """Undecided element with the largest scenario-cost spread.
 
         Candidates come from the completion of ``attained``, the node's
-        (Solution, element costs) that attained its bound (they drive the gap
-        between the linear relaxation and the true WOWA value); ties and
-        the no-candidate case fall back to the lowest free index.  Returns
-        None when the node admits exactly one completion, which the bound
-        solve has already evaluated.
+        (Solution, element costs, certificate) that attained its bound (they
+        drive the gap between the linear relaxation and the true WOWA
+        value); ties and the no-candidate case fall back to the lowest free
+        index.  Returns None when the node admits exactly one completion,
+        which the bound solve has already evaluated.
         """
         free = self.inst.kind.free_elements(fix, self.inst.n)
         candidates = [e for e in attained[0].chosen if e in free]
@@ -362,8 +367,8 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             bound, attained, warm = result
             if bound >= best_val - margin():
                 continue
-            sol, costs = attained
-            fix = inst.kind.reduced_fixing(costs, fix, sol, bound, best_val - margin())
+            sol, costs, certificate = attained
+            fix = inst.kind.reduced_fixing(costs, fix, sol, bound, best_val - margin(), certificate)
             e = ctx.branch_element(fix, attained)
             if e is None:
                 continue  # fully decided; the bound solve already evaluated it

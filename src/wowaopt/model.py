@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Iterator
 
 import numpy as np
@@ -166,7 +166,7 @@ class Selection(ProblemKind):
                 costs, fixes = costs[rows], [fixes[i] for i in rows]
             chosen, totals = base_solvers.select_rows(costs, q, np.array([fix.shift(n) for fix in fixes]))
             for i, picked, total in zip(rows, chosen.tolist(), totals.tolist()):
-                out[i] = (Solution._ascending(picked), total)
+                out[i] = (Solution._ascending(picked), total, None)
         return out
 
     def free_elements(self, fix: PartialFixing, n: int) -> set[int]:
@@ -174,7 +174,7 @@ class Selection(ProblemKind):
             return set()
         return super().free_elements(fix, n)
 
-    def reduced_fixing(self, costs, fix, sol, z, cutoff):
+    def reduced_fixing(self, costs, fix, sol, z, cutoff, certificate):
         # sol holds the cheapest free elements, so the cheapest completion
         # with an unchosen e in swaps it for the dearest chosen free one
         # (c_in), and the cheapest with a chosen e out swaps it for the
@@ -213,7 +213,7 @@ class Assignment(ProblemKind):
 
     m: int
     tag = "assignment"
-    fw_steps = 4  # its Hungarian solves cost more than the nodes more steps save
+    fw_steps = 3  # its Hungarian solves cost more than the nodes more steps save
 
     def problems(self, n: int) -> list[str]:
         if not _is_int(self.m):
@@ -257,6 +257,42 @@ class Assignment(ProblemKind):
         rows = {e // m for e in fix.forced_in}
         cols = {e % m for e in fix.forced_in}
         return {e for e in super().free_elements(fix, n) if e // m not in rows and e % m not in cols}
+
+    def reduced_fixing(self, costs, fix, sol, z, cutoff, certificate):
+        # Under the solve's potentials (u, v) a free edge e has reduced cost
+        # r_e = c_e - u_row - v_col >= 0, and a completion costs z plus the r
+        # of its free edges: at least z + r_e with an unchosen e, and without
+        # a chosen e at least z plus the least r of the other free edges in
+        # its row plus the least in its column.  The potentials stay feasible
+        # for a child, whose fixing drops a tight edge's row and column or
+        # forbids edges.
+        m, c = self.m, costs.tolist()
+        rows, cols, u, v = certificate
+        taken_rows = {e // m for e in fix.forced_in}
+        taken_cols = {e % m for e in fix.forced_in}
+        skip = fix.forced_out.union(sol.chosen)
+        fixed_out, row_least, col_least = [], {}, dict.fromkeys(cols, inf)
+        for i, ui in zip(rows, u):
+            if i in taken_rows:
+                continue
+            least = inf
+            for j, vj in zip(cols, v):
+                e = i * m + j
+                if j in taken_cols or e in skip:
+                    continue
+                r = c[e] - ui - vj
+                if z + r >= cutoff:
+                    fixed_out.append(e)
+                if r < least:
+                    least = r
+                if r < col_least[j]:
+                    col_least[j] = r
+            row_least[i] = least
+        fixed_in = [e for e in sol.chosen
+                    if e // m in row_least and z + (row_least[e // m] + col_least[e % m]) >= cutoff]
+        if not fixed_in and not fixed_out:
+            return fix
+        return PartialFixing(fix.forced_in.union(fixed_in), fix.forced_out.union(fixed_out))
 
     def lp_rows(self, n: int):
         m = self.m

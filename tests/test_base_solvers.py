@@ -125,6 +125,14 @@ class TestAssignment:
         with pytest.raises(ValueError):
             solve_assignment([[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_costs(self, bad):
+        # not read as a forbidden edge, nor as a fixing without completion
+        for cost in ([[bad, 1.0], [1.0, bad]], np.full((2, 2), bad), [[bad]]):
+            with pytest.raises(ValueError, match="assignment costs must be finite") as info:
+                solve_assignment(cost)
+            assert not isinstance(info.value, FeasibilityError)
+
     def test_matches_permutation_oracle(self):
         rng = np.random.RandomState(2)
         for _ in range(120):

@@ -340,18 +340,23 @@ def test_brute_force_outcomes_are_pinned(name):
 # evaluated its completions in one batch and stopped at the incumbent, and
 # have held since; the node counts are those of the averaged Frank-Wolfe
 # direction warm-started from the parent, with the kind's fw_steps per node
-# (6 for selection, 4 for assignment), of reduced-cost fixing of selection
-# elements and of bounding up to 16 open nodes per batch.
+# (6 for selection, 3 for assignment), of reduced-cost fixing of selection
+# elements and assignment edges and of bounding up to 16 open nodes per batch.
 _BB_PINS = [
     ("selection", 20, 5, 1e-2, 700, 57, "0x1.3ddfabfcd6dc1p+7"),
     ("selection", 20, 5, 1e-4, 701, 17, "0x1.a80c231152dddp+7"),
     ("selection", 20, 10, 1e-2, 702, 31, "0x1.0500d5cdbf7d8p+8"),
     ("selection", 20, 10, 1e-4, 703, 145, "0x1.f6bca22120762p+7"),
-    ("assignment", 6, 5, 1e-2, 704, 19, "0x1.b4abadfd44fa3p+7"),
-    ("assignment", 6, 5, 1e-4, 705, 31, "0x1.02df2c1fc6b0ep+8"),
-    ("assignment", 6, 10, 1e-2, 706, 23, "0x1.180b5902ee69cp+8"),
-    ("assignment", 6, 10, 1e-4, 707, 49, "0x1.19e55f7228376p+8"),
+    ("assignment", 6, 5, 1e-2, 704, 13, "0x1.b4abadfd44fa3p+7"),
+    ("assignment", 6, 5, 1e-4, 705, 17, "0x1.02df2c1fc6b0ep+8"),
+    ("assignment", 6, 10, 1e-2, 706, 9, "0x1.180b5902ee69cp+8"),
+    ("assignment", 6, 10, 1e-4, 707, 41, "0x1.19e55f7228376p+8"),
 ]
+
+
+def _grid_digest(results) -> str:
+    text = "".join(res.objective.hex() + repr(res.solution.chosen) for res in results)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _tie_heavy_assignment(rng, m: int) -> ScenarioInstance:
@@ -429,15 +434,21 @@ class TestBranchAndBound:
     def test_desk_scale_assignment_is_pinned(self):
         # the 60 assignment m=8 instances of the desk-scale grid (seed 2) in
         # grid order: sha256 of each optimum's objective.hex() and chosen
-        # edges, and the node total at 4 Frank-Wolfe steps per node
+        # edges, and the node total at 3 Frank-Wolfe steps per node
         results = [
             exact_bb(gen_instance("assignment", 8, k, alpha, instance_seed(2, "assignment", 8, k, alpha, i)))
             for k in (2, 5, 10) for alpha in (1e-2, 1e-4) for i in range(10)
         ]
-        text = "".join(res.objective.hex() + repr(res.solution.chosen) for res in results)
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "7a2e9ea843e6deee68b6660880c8b35196c9c605df0a01e0df5b19a274a34f8b")
-        assert sum(res.node_count for res in results) == 5218
+        assert _grid_digest(results) == "7a2e9ea843e6deee68b6660880c8b35196c9c605df0a01e0df5b19a274a34f8b"
+        assert sum(res.node_count for res in results) == 3934
+
+    def test_scale_assignment_is_pinned(self):
+        # the four assignment m=10, K=10, alpha=1e-4 instances of the scale
+        # grid (seed 2), pinned as the desk cells are
+        results = [exact_bb(gen_instance("assignment", 10, 10, 1e-4, instance_seed(2, "assignment", 10, 10, 1e-4, i)))
+                   for i in range(4)]
+        assert _grid_digest(results) == "b931da08b5799f4a6683305e676b8bab4b35b5ee756d6263a8e504d268ea555f"
+        assert sum(res.node_count for res in results) == 5004
 
     def test_uniform_v_closes_at_root(self):
         rng = np.random.RandomState(7)
@@ -612,22 +623,27 @@ class TestBranchAndBound:
         assert other_tie > 0  # the case the test is for did occur
 
     def test_node_bounds_are_lockstep_invariant(self):
-        # Each node of a batch gets, to the bit, the bound, attaining solve and
-        # warm state that it gets alone on a fresh search; the batch meets the
-        # completions that the nodes meet alone.  Batches mix warm and cold
-        # nodes, children that reuse their parent's last solve, fixings
-        # without completion, and targets that stop nodes at different steps.
+        # Each node of a batch gets, to the bit, the bound, attaining solve,
+        # carried duals and warm state that it gets alone on a fresh search;
+        # the batch meets the completions that the nodes meet alone.  Batches
+        # mix warm and cold nodes, children that reuse their parent's last
+        # solve (and its duals), fixings without completion, and targets that
+        # stop nodes at different steps.
         from wowaopt.exact import _BBContext
 
         def bits(a):
             return None if a is None else np.asarray(a).tobytes()
 
+        def duals_bits(duals):
+            # an assignment solve's (free rows, free columns, u, v); None for selection
+            return None if duals is None else (*duals[:2], *([x.hex() for x in d] for d in duals[2:]))
+
         def outcome(result):
             if result is None:
                 return None
-            bound, (sol, costs), (w, avg, (last, value, last_costs)) = result
-            return (bound.hex(), sol, bits(costs), bits(w), bits(avg), last,
-                    value.hex(), bits(last_costs))
+            bound, (sol, costs, duals), (w, avg, (last, value, last_duals, last_costs)) = result
+            return (bound.hex(), sol, bits(costs), duals_bits(duals), bits(w), bits(avg), last,
+                    value.hex(), duals_bits(last_duals), bits(last_costs))
 
         def met(new):
             return {sol.chosen: bits(costs) for sol, costs in new}

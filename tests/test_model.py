@@ -424,7 +424,7 @@ def test_selection_reduced_fixing_prices_exactly():
         cutoffs = [z - 1] + finite + [(a + b) / 2 for a, b in zip(finite, finite[1:])] + [finite[-1] + 1]
         cutoff = cutoffs[rng.randint(len(cutoffs))]
         fixed = {e for e, v in price.items() if cutoff <= v < np.inf}
-        got = kind.reduced_fixing(costs, fix, sol, z, cutoff)
+        got = kind.reduced_fixing(costs, fix, sol, z, cutoff, None)
         assert got == PartialFixing(fix.forced_in | (fixed & set(sol.chosen)),
                                     fix.forced_out | (fixed - set(sol.chosen)))
         if not fixed:
@@ -434,6 +434,70 @@ def test_selection_reduced_fixing_prices_exactly():
         seen["unchanged"] += not fixed
         seen["in"] += bool(fixed & set(sol.chosen))
         seen["out"] += bool(fixed - set(sol.chosen))
+    assert min(seen.values()) >= 10, seen
+
+
+def test_assignment_reduced_fixing_is_sound():
+    # Scenario costs 0-3 under weights in eighths keep the Hungarian's
+    # potentials exact.  The duals certify the solve: feasible, tight on the
+    # matched free edges, summing to their cost.  An edge is fixed out (in)
+    # only when every completion with it in (out) costs at least the cutoff,
+    # so the solved matching stays admissible.  Every other trial prices a
+    # child with its parent's duals, as the search does when the child
+    # reuses its parent's last solve.
+    rng = np.random.RandomState(22)
+    matchings = {m: [{r * m + c for r, c in enumerate(perm)} for perm in itertools.permutations(range(m))]
+                 for m in range(1, 6)}
+    seen = {"in": 0, "out": 0, "unfixed": 0, "parent duals": 0}
+    for trial in range(400):
+        m, k = rng.randint(1, 6), rng.randint(1, 6)
+        kind = Assignment(m=m)
+        costs = rng.randint(0, 9, size=k) / 8.0 @ rng.randint(0, 4, size=(k, m * m)).astype(float)
+        # forced-in edges from one perfect matching, so that most fixings have a completion
+        matching = sorted(matchings[m][rng.randint(len(matchings[m]))])
+        order = rng.permutation(matching).tolist() + [e for e in rng.permutation(m * m).tolist()
+                                                      if e not in matching]
+        n_in, n_out = rng.randint(0, m), rng.randint(0, m * m // 2 + 1)
+        fix = PartialFixing(order[:n_in], order[n_in:n_in + n_out])
+        (solved,) = kind.solve_rows(costs[None], [fix])
+        if solved is None:
+            continue
+        sol, z, duals = solved
+        rows, cols, u, v = duals
+        assert sol == kind.solve(costs, fix)[0]
+        for i, ui in zip(rows, u):
+            for j, vj in zip(cols, v):
+                e = i * m + j
+                if e in sol.chosen:
+                    assert costs[e] == ui + vj
+                elif e not in fix.forced_out:
+                    assert costs[e] - ui - vj >= 0.0
+        assert sum(u) + sum(v) == sum(costs[e] for e in sol.chosen if e not in fix.forced_in)
+        node = fix
+        free = sorted(kind.free_elements(fix, m * m))
+        if trial % 2 and free:
+            e = int(rng.choice(free))  # the child whose fixing admits sol
+            node = (PartialFixing(fix.forced_in | {e}, fix.forced_out) if e in sol.chosen
+                    else PartialFixing(fix.forced_in, fix.forced_out | {e}))
+            seen["parent duals"] += 1
+        compatible = [s for s in matchings[m] if node.forced_in <= s and not node.forced_out & s]
+        price = {e: min((sum(costs[list(s)]) for s in compatible if (e in s) != (e in sol.chosen)),
+                        default=np.inf)
+                 for e in kind.free_elements(node, m * m)}
+        finite = sorted({z} | {p for p in price.values() if p < np.inf})
+        cutoffs = [z - 1] + finite + [(a + b) / 2 for a, b in zip(finite, finite[1:])] + [finite[-1] + 1]
+        cutoff = cutoffs[rng.randint(len(cutoffs))]
+        got = kind.reduced_fixing(costs, node, sol, z, cutoff, duals)
+        fixed_in, fixed_out = got.forced_in - node.forced_in, got.forced_out - node.forced_out
+        assert got.forced_in >= node.forced_in and got.forced_out >= node.forced_out
+        assert fixed_in | fixed_out <= set(price)  # free edges only
+        assert fixed_in <= set(sol.chosen) and not fixed_out & set(sol.chosen)
+        assert all(price[e] >= cutoff for e in fixed_in | fixed_out)
+        if not fixed_in and not fixed_out:
+            assert got is node
+        seen["in"] += bool(fixed_in)
+        seen["out"] += bool(fixed_out)
+        seen["unfixed"] += not fixed_in and not fixed_out
     assert min(seen.values()) >= 10, seen
 
 
