@@ -137,12 +137,13 @@ class ProblemKind:
     * ``check(sol)``: raise FeasibilityError unless sol is feasible (its
       indices are already known to be in range);
     * ``size(n)`` and ``enumerate(n)``: how many feasible solutions there
-      are, and each of them once, as the rows of 2-D integer arrays
-      ("blocks") of at most ``BLOCK_ROWS`` rows, each row's indices
-      ascending.  The order is fixed (brute force returns the first of equal
-      optima in it): selection and assignment yield their solutions in
-      lexicographic order, in full blocks but the last, and explicit in list
-      order, one block per run of equal-length solutions;
+      are, and each of them once, as the rows of 2-D arrays ("blocks") of
+      at most ``BLOCK_ROWS`` rows in the smallest signed integer dtype that
+      holds n - 1 (int8 up to n = 128), each row's indices ascending.  The
+      order is fixed (brute force returns the first of equal optima in it):
+      selection and assignment yield their solutions in lexicographic order,
+      in full blocks but the last, and explicit in list order, one block per
+      run of equal-length solutions;
     * ``solve(costs, fix)``: the cheapest feasible (Solution, cost) under a
       flat n-vector of costs and a partial fixing, raising FeasibilityError
       when the fixing has no feasible completion;

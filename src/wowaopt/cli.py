@@ -162,7 +162,8 @@ def _cmd_solve(args) -> int:
             bound = _fmt(res.lower_bound) if math.isfinite(res.lower_bound) else "-"
         else:
             res = brute_force(inst)
-            sol, value, status, bound = res.solution, res.objective, res.proof_status, "-"
+            sol, value, status = res.solution, res.objective, res.proof_status
+            bound = _fmt(res.lower_bound)
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -11,6 +11,7 @@ completion when the importance weights are nonincreasing.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import time
@@ -21,7 +22,7 @@ import numpy as np
 
 from .aggregation import NonIncreasingWeightsError, _rank_omegas, _worst_first, wowa_batch
 from .approx import approx_solve
-from .base_solvers import BLOCK_ROWS, FeasibilityError, PartialFixing, Solution
+from .base_solvers import BLOCK_ROWS, FeasibilityError, PartialFixing, ProblemKind, Solution
 from .model import ScenarioInstance, scenario_costs
 
 __all__ = [
@@ -54,6 +55,22 @@ def _cost_vectors(inst: ScenarioInstance, block: np.ndarray) -> np.ndarray:
     return inst.costs[:, block].sum(axis=2)
 
 
+@functools.lru_cache(maxsize=2)
+def _enumerated(kind: ProblemKind, n: int) -> tuple[np.ndarray, ...]:
+    """``kind.enumerate(n)``'s blocks, read-only.
+
+    Enumeration is the same for every instance of a kind and size, so brute
+    force keeps the last two (kinds are frozen and compare by value).  At
+    ``BRUTE_FORCE_LIMIT`` an entry takes at most about 8 MB (selection n=22,
+    q=11, int8); an explicit kind's entry is smaller than its own solution
+    list.
+    """
+    blocks = tuple(kind.enumerate(n))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
+
+
 def _kernel_batches(inst: ScenarioInstance) -> Iterator[list[np.ndarray]]:
     """The enumerated blocks in kernel-call batches.
 
@@ -63,7 +80,7 @@ def _kernel_batches(inst: ScenarioInstance) -> Iterator[list[np.ndarray]]:
     """
     blocks: list[np.ndarray] = []
     rows = 0
-    for block in inst.kind.enumerate(inst.n):
+    for block in _enumerated(inst.kind, inst.n):
         blocks.append(block)
         rows += len(block)
         if rows >= BLOCK_ROWS:
@@ -73,13 +90,27 @@ def _kernel_batches(inst: ScenarioInstance) -> Iterator[list[np.ndarray]]:
         yield blocks
 
 
+def _screened(block: np.ndarray, bounds: list[np.ndarray], cutoff: float) -> np.ndarray:
+    # the rows of block whose every bound, the sum of its elements' entries,
+    # is at most cutoff; rows are summed down the columns of block.T, since
+    # numpy adds along a short inner axis about 3x slower
+    for bound in bounds:
+        block = block.compress(bound.take(block.T).sum(axis=0) <= cutoff, axis=0)
+    return block
+
+
 def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResult:
     """Global minimum by exhaustive enumeration (oracle-grade, small instances).
 
-    Every solution is enumerated, but only those whose expected-cost lower
-    bound c * (p . a) (see ``WeightVector.expectation_factor``) does not
+    Every solution is enumerated, but only those whose lower bounds do not
     exceed the best value found so far are costed and evaluated; the others
-    can neither beat nor tie it.  Refuses search spaces larger than
+    can neither beat nor tie it.  One bound is the expected cost
+    c * (p . a) (see ``WeightVector.expectation_factor``).  With
+    nonincreasing weights the other is w . a, w the rank weights of the best
+    solution's scenario costs taken worst first, recomputed each time the
+    best improves: it is f_pi(a) for the best's order pi, at most WOWA(a)
+    (see ``aggregation.f_pi``).  The enumeration is cached per (kind, n)
+    (see ``_enumerated``).  Refuses search spaces larger than
     ``BRUTE_FORCE_LIMIT``.  With ``check_pareto`` the returned solution is
     additionally tested for Pareto efficiency against every enumerated cost
     vector.
@@ -89,9 +120,11 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
         raise ValueError(
             f"search space has {size} solutions, exceeding the limit of {BRUTE_FORCE_LIMIT}"
         )
-    # A row's bound c * (p . a) is the sum of its elements' entries of floor
-    # (costs are >= 0).
-    floor = inst.v.expectation_factor * (inst.p.as_array() @ inst.costs)
+    # A row's bound is the sum of its elements' entries of each bound vector
+    # (costs are >= 0): floor for c * (p . a), and w . C for w . a.
+    p = inst.p.as_array()
+    floor = inst.v.expectation_factor * (p @ inst.costs)
+    bounds = [floor]
     best_val = np.inf
     best_sub: Optional[list[int]] = None
     for blocks in _kernel_batches(inst):
@@ -99,10 +132,7 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
             # the margin, about 1e6 times the rounding error of both sums,
             # keeps every row that the kernel could round to or below the best
             cutoff = best_val + 1e-9 * max(1.0, abs(best_val))
-            # rows are summed down the columns of b.T, since numpy adds along
-            # a short inner axis about 3x slower
-            kept = (b.compress(floor.take(b.T).sum(axis=0) <= cutoff, axis=0) for b in blocks)
-            blocks = [b for b in kept if len(b)]
+            blocks = [b for b in (_screened(b, bounds, cutoff) for b in blocks) if len(b)]
             if not blocks:
                 continue
         costs = np.hstack([_cost_vectors(inst, b) for b in blocks])
@@ -110,6 +140,11 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
         s = int(np.argmin(values))
         if values[s] < best_val:
             best_val = float(values[s])
+            if inst.v.is_nonincreasing:
+                order, cum = _worst_first(costs[:, s], p)
+                w = np.empty_like(p)
+                w[order] = _rank_omegas(inst.v, cum)
+                bounds = [floor, w @ inst.costs]
             for block in blocks:
                 if s < len(block):
                     best_sub = block[s].tolist()
@@ -128,7 +163,7 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
             lt = np.any(A < best_costs[:, None], axis=0)
             return bool(np.any(le & lt))
 
-        pareto = not any(dominated(block) for block in inst.kind.enumerate(inst.n))
+        pareto = not any(dominated(block) for block in _enumerated(inst.kind, inst.n))
 
     return ExactResult(
         solution=Solution(best_sub),

@@ -106,10 +106,31 @@ def _cost_matrix(costs) -> np.ndarray:
     return raw.astype(float)
 
 
-def _rank_blocks(size: int) -> Iterator[np.ndarray]:
-    # the ranks 0..size-1 in runs of BLOCK_ROWS
-    for start in range(0, size, BLOCK_ROWS):
-        yield np.arange(start, min(start + BLOCK_ROWS, size))
+def _index_dtype(n: int) -> np.dtype:
+    # the smallest signed integer dtype that holds the indices 0..n-1
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if n - 1 <= np.iinfo(t).max)
+
+
+def _blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    # the rows in runs of BLOCK_ROWS, each copied out, so that the blocks
+    # brute force caches are small allocations and the built array is freed
+    # (views kept it whole, which raised the peak resident memory)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        yield rows[start:start + BLOCK_ROWS].copy()
+
+
+def _prefixed(heads, tails: list[np.ndarray]) -> np.ndarray:
+    # each head followed by each row of its tail, tail after tail, written
+    # in place so that no list of parts is joined
+    rows = np.empty((sum(map(len, tails)), tails[0].shape[1] + 1), tails[0].dtype)
+    start = 0
+    for head, tail in zip(heads, tails):
+        part = rows[start:start + len(tail)]
+        part[:, 0] = head
+        part[:, 1:] = tail
+        start += len(tail)
+    return rows
 
 
 # The solves look the base solvers up on their module at call time, so a
@@ -138,20 +159,17 @@ class Selection(ProblemKind):
         return comb(n, self.q)
 
     def enumerate(self, n: int) -> Iterator[np.ndarray]:
-        # Lexicographic rank r of a q-subset c is colexicographic rank
-        # size - 1 - r of its reflection {n - 1 - i : i in c}, which the
-        # combinatorial number system decodes largest element first: the
-        # largest x with C(x, k) <= rest, for k = q down to 1.
-        q, size = self.q, self.size(n)
-        table = np.array([[min(comb(x, k), size) for x in range(n)] for k in range(q + 1)])
-        for ranks in _rank_blocks(size):
-            rest = size - 1 - ranks
-            block = np.empty((ranks.size, q), dtype=np.intp)
-            for j in range(q):
-                x = np.searchsorted(table[q - j], rest, side="right") - 1
-                rest -= table[q - j, x]
-                block[:, j] = n - 1 - x
-            yield block
+        # Built by suffix length k in lexicographic order: the k-subsets of
+        # {q-k, ..., n-1} are, for each least element i, i followed by the
+        # (k-1)-subsets of {i+1, ..., n-1}, which are a tail of the level
+        # below (its rows whose least element exceeds i).
+        q = self.q
+        rows = np.arange(q - 1, n, dtype=_index_dtype(n))[:, None]
+        for k in range(2, q + 1):
+            heads = range(q - k, n - k + 1)
+            starts = np.searchsorted(rows[:, 0], heads, side="right")
+            rows = _prefixed(heads, [rows[s:] for s in starts])
+        yield from _blocks(rows)
 
     def solve(self, costs, fix):
         return base_solvers.solve_selection(costs, self.q, fix)
@@ -233,18 +251,16 @@ class Assignment(ProblemKind):
         return factorial(self.m)
 
     def enumerate(self, n: int) -> Iterator[np.ndarray]:
-        # The permutations of the columns in lexicographic order, decoded
-        # from the Lehmer code of each rank: digit r is row r's column among
-        # those rows 0..r-1 left free.  Working right to left, every later
-        # entry at or above row r's moves up by one.
-        m = self.m
-        radix = np.array([factorial(m - 1 - r) for r in range(m)])
-        for ranks in _rank_blocks(self.size(n)):
-            block = ranks[:, None] // radix % np.arange(m, 0, -1)
-            for r in range(m - 2, -1, -1):
-                tail = block[:, r + 1:]
-                tail += tail >= block[:, r:r + 1]
-            yield block + np.arange(m) * m
+        # The permutations of the columns in lexicographic order, built by
+        # length k: those of 0..k-1 are, for each first column c, c followed
+        # by the permutations of 0..k-2 with every entry at or above c moved
+        # up by one.
+        m, dtype = self.m, _index_dtype(n)
+        cols = np.zeros((1, 0), dtype)
+        for k in range(1, m + 1):
+            cols = _prefixed(range(k), [cols + (cols >= c) for c in range(k)])
+        cols += np.arange(0, n, m, dtype=dtype)
+        yield from _blocks(cols)
 
     def solve(self, costs, fix):
         return base_solvers.solve_assignment(costs.reshape(self.m, self.m), fix)
@@ -340,7 +356,7 @@ class Explicit(ProblemKind):
             run = list(run)
             for start in range(0, len(run), BLOCK_ROWS):
                 rows = run[start:start + BLOCK_ROWS]
-                yield np.array(rows, dtype=np.intp).reshape(len(rows), length)
+                yield np.array(rows, dtype=_index_dtype(n)).reshape(len(rows), length)
 
     def solve(self, costs, fix):
         compatible = [s for s in self.solutions

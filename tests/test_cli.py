@@ -124,6 +124,7 @@ class TestSolve:
         brute = report_fields(cli("solve", "--in", inst_path, "--method", "brute").stdout)
         assert bb["value"] == brute["value"]
         assert bb["bound"] == bb["value"]  # the proven bound of an optimal search
+        assert brute["bound"] == brute["value"]
 
     def test_bb_time_limit_before_the_root_prints_no_bound(self, tmp_path, cli):
         inst_path = tmp_path / "i.json"

@@ -30,6 +30,7 @@ from wowaopt import (
     wowa_value,
     wowa_via_decomposition,
 )
+from wowaopt import exact
 from wowaopt.aggregation import SUM_TOL, wowa_batch
 
 TOL = 1e-9
@@ -197,6 +198,56 @@ class TestBruteForce:
         assert second < first < inst.p.as_array() @ costs[:, 1]
         res = brute_force(inst)
         assert (res.solution.chosen, res.objective) == ((1,), second)
+
+    def test_cached_blocks_are_the_enumeration_in_a_compact_read_only_dtype(self):
+        rng = np.random.RandomState(21)
+        cases = [(Selection(q=4), 11, np.int8), (Assignment(m=5), 25, np.int8),
+                 (Explicit(tuple(map(tuple, _explicit_solutions(rng, 12, 3000, 0)))), 12, np.int8),
+                 (Explicit(((0, 199), (5,), (7, 130))), 200, np.int16), (Selection(q=2), 200, np.int16)]
+        for kind, n, dtype in cases:
+            exact._enumerated.cache_clear()
+            blocks = exact._enumerated(kind, n)
+            expected = list(kind.enumerate(n))
+            assert [b.tolist() for b in blocks] == [b.tolist() for b in expected]
+            assert all(b.dtype == dtype and not b.flags.writeable for b in blocks)
+
+    def test_cached_enumeration_gives_the_same_outcome(self):
+        rng = np.random.RandomState(22)
+        for kind, n in ((Selection(q=5), 12), (Assignment(m=6), 36)):
+            inst = _pin_instance(rng, kind, n, 5, 0)
+            exact._enumerated.cache_clear()
+            outcomes = [_pin_outcome(inst), _pin_outcome(inst)]
+            exact._enumerated.cache_clear()
+            outcomes.append(_pin_outcome(inst))
+            assert len(set(outcomes)) == 1
+
+    def test_screens_match_a_full_evaluation(self, monkeypatch):
+        # With generated (nonincreasing) weights both bounds screen.  Kernel
+        # batches of 7 rows let them screen all but the first 7 solutions;
+        # the reference evaluates every solution and takes the first minimum.
+        cached = exact._enumerated
+        monkeypatch.setattr(exact, "_enumerated", lambda kind, n: tuple(
+            b[i:i + 7] for b in cached(kind, n) for i in range(0, len(b), 7)))
+        monkeypatch.setattr(exact, "BLOCK_ROWS", 7)
+        rng = np.random.RandomState(23)
+        for i in range(90):
+            if i % 3 < 2:
+                n = rng.randint(8, 15)
+                kind = Selection(q=rng.randint(1, n // 2 + 1))
+            else:
+                m = rng.randint(2, 7)
+                kind, n = Assignment(m=m), m * m
+            k = (1, 2, 5, 10)[i % 4]
+            numer = rng.randint(1, 101, size=k)
+            costs = _pin_costs(rng, (k, n), i % 2)  # every other instance tie-heavy 0..3
+            inst = ScenarioInstance(costs, numer / numer.sum(),
+                                    generate_weights(10.0 ** rng.uniform(-4, -0.5), k), kind)
+            rows = np.vstack(list(kind.enumerate(n)))
+            values = wowa_batch(costs[:, rows].sum(axis=2), inst.v, inst.p)
+            best = int(np.argmin(values))
+            res = brute_force(inst)
+            assert (res.objective.hex(), res.solution.chosen) == (
+                values[best].hex(), tuple(rows[best].tolist())), i
 
 
 def _pin_instance(rng, kind, n: int, k: int, style: int) -> ScenarioInstance:
@@ -441,6 +492,16 @@ class TestBranchAndBound:
         ]
         assert _grid_digest(results) == "7a2e9ea843e6deee68b6660880c8b35196c9c605df0a01e0df5b19a274a34f8b"
         assert sum(res.node_count for res in results) == 3934
+
+    def test_desk_scale_selection_is_pinned(self):
+        # the 60 selection n=40, q=10 instances of the desk-scale grid (seed
+        # 2), pinned as the assignment cells are, at 6 Frank-Wolfe steps
+        results = [
+            exact_bb(gen_instance("selection", 40, k, alpha, instance_seed(2, "selection", 40, k, alpha, i), q=10))
+            for k in (2, 5, 10) for alpha in (1e-2, 1e-4) for i in range(10)
+        ]
+        assert _grid_digest(results) == "29198345b4ed1c46c9e4ef73bdf367ab580b42962b4142113a7f05a9be560fb1"
+        assert sum(res.node_count for res in results) == 8440
 
     def test_scale_assignment_is_pinned(self):
         # the four assignment m=10, K=10, alpha=1e-4 instances of the scale
