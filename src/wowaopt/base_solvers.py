@@ -17,6 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .aggregation import _is_int
+
 __all__ = [
     "FeasibilityError",
     "Solution",
@@ -44,6 +46,9 @@ class Solution:
     chosen: tuple[int, ...]
 
     def __init__(self, chosen: Sequence[int]):
+        chosen = tuple(chosen)  # read once: it may be a generator
+        if not all(map(_is_int, chosen)):
+            raise ValueError(f"solution indices must be integers, got {list(chosen)!r}")
         idx = tuple(sorted(int(i) for i in chosen))
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate element indices in solution")
@@ -76,6 +81,10 @@ class PartialFixing:
         object.__setattr__(self, "forced_out", frozenset(self.forced_out))
         if self.forced_in & self.forced_out:
             raise ValueError("forced_in and forced_out must be disjoint")
+
+    def admits(self, chosen) -> bool:
+        """Whether a solution of the chosen elements agrees with the fixing."""
+        return self.forced_in.issubset(chosen) and self.forced_out.isdisjoint(chosen)
 
     def shift(self, n: int) -> np.ndarray:
         """The fixing as per-element shifts of n costs: -inf forced in, +inf forced out, 0 free.
@@ -217,6 +226,8 @@ def solve_selection(costs, q: int, fix: PartialFixing = NO_FIXING) -> tuple[Solu
     """
     c = np.asarray(costs, dtype=float).reshape(1, -1)
     n = c.shape[1]
+    if not _is_int(q):
+        raise ValueError(f"selection size q={q!r} is not an integer")
     if not 1 <= q <= n:
         raise FeasibilityError(f"selection size q={q} outside 1..{n}")
     if not np.all(np.isfinite(c)):

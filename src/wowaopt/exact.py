@@ -23,7 +23,7 @@ import numpy as np
 from .aggregation import NonIncreasingWeightsError, _rank_omegas, _worst_first, wowa_batch
 from .approx import approx_solve
 from .base_solvers import BLOCK_ROWS, FeasibilityError, PartialFixing, ProblemKind, Solution
-from .model import ScenarioInstance, scenario_costs
+from .model import ScenarioInstance, _row_costs, scenario_costs
 
 __all__ = [
     "ExactResult",
@@ -48,11 +48,6 @@ class ExactResult:
 
 def search_space_size(inst: ScenarioInstance) -> int:
     return inst.kind.size(inst.n)
-
-
-def _cost_vectors(inst: ScenarioInstance, block: np.ndarray) -> np.ndarray:
-    # the K-by-S scenario costs of a block's rows, equal to scenario_costs bit for bit
-    return inst.costs[:, block].sum(axis=2)
 
 
 @functools.lru_cache(maxsize=2)
@@ -135,13 +130,13 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
             blocks = [b for b in (_screened(b, bounds, cutoff) for b in blocks) if len(b)]
             if not blocks:
                 continue
-        costs = np.hstack([_cost_vectors(inst, b) for b in blocks])
+        costs = np.hstack([_row_costs(inst, b) for b in blocks])
         values = wowa_batch(costs, inst.v, inst.p)
         s = int(np.argmin(values))
         if values[s] < best_val:
-            best_val = float(values[s])
+            best_val, best_costs = float(values[s]), costs[:, s]
             if inst.v.is_nonincreasing:
-                order, cum = _worst_first(costs[:, s], p)
+                order, cum = _worst_first(best_costs, p)
                 w = np.empty_like(p)
                 w[order] = _rank_omegas(inst.v, cum)
                 bounds = [floor, w @ inst.costs]
@@ -154,16 +149,10 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
         raise FeasibilityError("instance has no feasible solution")
 
     pareto: Optional[bool] = None
-    if check_pareto:
-        best_costs = scenario_costs(inst, Solution(best_sub), check=False)
-
-        def dominated(block) -> bool:
-            A = _cost_vectors(inst, block)
-            le = np.all(A <= best_costs[:, None], axis=0)
-            lt = np.any(A < best_costs[:, None], axis=0)
-            return bool(np.any(le & lt))
-
-        pareto = not any(dominated(block) for block in _enumerated(inst.kind, inst.n))
+    if check_pareto:  # whether no enumerated cost vector dominates the best's
+        b = best_costs[:, None]
+        costs = (_row_costs(inst, block) for block in _enumerated(inst.kind, inst.n))
+        pareto = not any(np.any(np.all(A <= b, axis=0) & np.any(A < b, axis=0)) for A in costs)
 
     return ExactResult(
         solution=Solution(best_sub),
@@ -225,111 +214,112 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
 _BB_BATCH = 16  # the most open nodes one node_bounds call bounds
 
 
+@dataclass(slots=True, eq=False)
+class _Node:
+    """An open node; a solve is (Solution, value, certificate, element costs)."""
+
+    fix: PartialFixing
+    w: np.ndarray  # the Frank-Wolfe iterate it continues from (p at the root)
+    avg: Optional[np.ndarray] = None  # running average of its completions' costs, None before the first
+    last: Optional[tuple] = None  # the solve under w, its first when the fixing admits it
+    bound: float = -np.inf
+    attained: Optional[tuple] = None  # the solve that reached bound; None: no completion
+
+
 class _BBContext:
     """Per-search state: the instance's arrays and the completions met so far."""
 
     def __init__(self, inst: ScenarioInstance):
         self.inst = inst
-        self.C = np.asarray(inst.costs)
+        self.C = inst.costs
         self.p = inst.p.as_array()
         self.spread = self.C.max(axis=0) - self.C.min(axis=0)
-        # chosen -> (Solution, scenario costs) of each completion a node returned
-        self.met: dict[tuple[int, ...], tuple[Solution, np.ndarray]] = {}
+        # chosen -> scenario costs of each completion a node returned
+        self.met: dict[tuple[int, ...], np.ndarray] = {}
 
-    def node_bounds(self, fixes: list[PartialFixing], target: float, warms: list):
+    def node_bounds(self, batch: list[_Node], target: float) -> list[tuple[Solution, np.ndarray]]:
         """Frank-Wolfe-refined lower bounds of a batch of nodes, in lockstep.
 
-        Node i starts from ``warms[i]``, its parent's final (w, avg, last
-        solve), or from (p, None, None) when that is None; the parent's last
-        (Solution, value, certificate, element costs) is its first solve when
-        its fixing admits it.  Each step makes one matmul, one ``solve_rows``
-        and one ranking call for the nodes still running; a node stops once
-        its bound reaches target, or after ``inst.kind.fw_steps`` solves.
-        Every row is computed as a batch of one would compute it, to the bit.
-        Returns, per node, None when its fixing has no completion, else the
-        bound, the (Solution, element costs, certificate) of the solve that
-        attained it and the warm state of its children; and the (Solution,
-        scenario costs) of the completions that the search had not met
-        before, in the order met.
+        A node continues from its ``w`` and ``avg``; its ``last`` solve is its
+        first when its fixing admits that completion.  Each step makes one
+        matmul, one ``solve_rows`` and one ranking call for the nodes still
+        running; a node stops once its bound reaches target, or after
+        ``inst.kind.fw_steps`` solves.  Every row is computed as a batch of
+        one would compute it, to the bit.  Sets each node's ``bound`` and
+        ``attained`` and, for its children, its final ``w``, ``avg`` and
+        ``last``.  Returns the (Solution, scenario costs) of the completions
+        that the search had not met before, in the order met.
         """
         inst = self.inst
         steps = inst.kind.fw_steps
-        lasts: list = [None] * len(fixes)
-        for i, (fix, warm) in enumerate(zip(fixes, warms)):
-            last = None if warm is None else warm[2]
-            if (last is not None and fix.forced_in.issubset(last[0].chosen)
-                    and fix.forced_out.isdisjoint(last[0].chosen)):
-                lasts[i] = last  # optimal on a superset under the same w
+        # a node's first solve is its last when its fixing admits that
+        # completion: optimal on a superset under the same w
+        first = []
+        for node in batch:
+            sol, *_ = node.last or (None,)
+            first.append(node.last if sol is not None and node.fix.admits(sol.chosen) else None)
         # the running nodes and, row by row, their iterates, averages and step sizes
-        nodes = list(range(len(fixes)))
-        W = np.array([self.p if warm is None else warm[0] for warm in warms])
-        fresh = [warm is None or warm[1] is None for warm in warms]  # no average yet
-        AVG = np.array([np.zeros(inst.K) if f else warm[1] for f, warm in zip(fresh, warms)])
-        # step sizes: a node continues its parent's count, one without an average starts at 0
+        running = list(batch)
+        W = np.array([node.w for node in running])
+        fresh = [node.avg is None for node in running]
+        AVG = np.array([np.zeros(inst.K) if f else node.avg for f, node in zip(fresh, running)])
+        # step sizes: a node continues its parent's count, one without an average starts at gamma = 1
         GAMMA = 2.0 / (np.where(fresh, 0.0, steps)[:, None] + np.arange(steps) + 2.0)
         STAY = 1.0 - GAMMA
-        bounds = [-np.inf] * len(fixes)
-        attained: list = [None] * len(fixes)
-        results: list = [None] * len(fixes)
         new: list[tuple[Solution, np.ndarray]] = []
         for step in range(steps):
-            solves = [lasts[i] for i in nodes] if step == 0 else [None] * len(nodes)
+            solves = first if step == 0 else [None] * len(running)
             rows = [j for j, solved in enumerate(solves) if solved is None]
             if rows:
                 # a stack of 1-by-K products, each row w @ C to the bit
                 costs = np.matmul(W[rows, None], self.C)[:, 0]
-                out = inst.kind.solve_rows(costs, [fixes[nodes[j]] for j in rows])
+                out = inst.kind.solve_rows(costs, [running[j].fix for j in rows])
                 for j, solved, row in zip(rows, out, costs):
                     if solved is not None:
                         solves[j] = (*solved, row)
             keep, seen = [], []
-            for j, (i, solved) in enumerate(zip(nodes, solves)):
+            for j, (node, solved) in enumerate(zip(running, solves)):
                 if solved is None:  # the fixing has no completion
                     continue
-                sol, value, certificate, costs_i = solved
-                if value > bounds[i]:
-                    bounds[i] = value
-                    attained[i] = (sol, costs_i, certificate)
-                entry = self.met.get(sol.chosen)
-                if entry is None:
-                    entry = self.met[sol.chosen] = (sol, scenario_costs(inst, sol, check=False))
-                    new.append(entry)
-                if bounds[i] >= target or step == steps - 1:
+                sol, value, _, _ = solved
+                if value > node.bound:
+                    node.bound, node.attained = value, solved
+                sol_costs = self.met.get(sol.chosen)
+                if sol_costs is None:
+                    sol_costs = self.met[sol.chosen] = scenario_costs(inst, sol, check=False)
+                    new.append((sol, sol_costs))
+                if node.bound >= target or step == steps - 1:
                     # the node ends on a solve, which is its solve under W[j]
-                    avg = None if step == 0 and fresh[j] else AVG[j]
-                    results[i] = (bounds[i], attained[i], (W[j], avg, solved))
+                    if step:  # at step 0 they are still its inputs
+                        node.w, node.avg = W[j], AVG[j]
+                    node.last = solved
                 else:
                     keep.append(j)
-                    seen.append(entry[1])
+                    seen.append(sol_costs)
             if not keep:
                 break
-            if len(keep) < len(nodes):
-                nodes = [nodes[j] for j in keep]
-                fresh = [fresh[j] for j in keep]
+            if len(keep) < len(running):
+                running = [running[j] for j in keep]
                 W, AVG, GAMMA, STAY = W[keep], AVG[keep], GAMMA[keep], STAY[keep]
             gamma, stay = GAMMA[:, step, None], STAY[:, step, None]
-            seen = np.array(seen)
-            AVG = stay * AVG + gamma * seen
-            if step == 0 and any(fresh):
-                AVG[fresh] = seen[fresh]
+            AVG = stay * AVG + gamma * np.array(seen)
             order, cum = _worst_first(AVG.T, self.p)
             direction = np.empty_like(cum)
-            direction[order, np.arange(len(nodes))] = _rank_omegas(inst.v, cum)
+            direction[order, np.arange(len(running))] = _rank_omegas(inst.v, cum)
             W = stay * W + gamma * direction.T
-        return results, new
+        return new
 
-    def branch_element(self, fix: PartialFixing, attained) -> Optional[int]:
+    def branch_element(self, fix: PartialFixing, sol: Solution) -> Optional[int]:
         """Undecided element with the largest scenario-cost spread.
 
-        Candidates come from the completion of ``attained``, the node's
-        (Solution, element costs, certificate) that attained its bound (they
-        drive the gap between the linear relaxation and the true WOWA
-        value); ties and the no-candidate case fall back to the lowest free
-        index.  Returns None when the node admits exactly one completion,
-        which the bound solve has already evaluated.
+        Candidates come from ``sol``, the completion that attained the node's
+        bound (they drive the gap between the linear relaxation and the true
+        WOWA value); ties and the no-candidate case fall back to the lowest
+        free index.  Returns None when the node admits exactly one
+        completion, which the bound solve has already evaluated.
         """
         free = self.inst.kind.free_elements(fix, self.inst.n)
-        candidates = [e for e in attained[0].chosen if e in free]
+        candidates = [e for e in sol.chosen if e in free]
         if candidates:
             return max(candidates, key=lambda e: (self.spread[e], -e))
         return min(free, default=None)
@@ -366,27 +356,26 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     def margin() -> float:
         return 1e-12 * max(1.0, abs(best_val))
 
-    heap: list[tuple[float, int, PartialFixing, Optional[tuple]]] = []
+    heap: list[tuple[float, int, _Node]] = []  # (pushed bound, counter, node)
     counter = itertools.count()
-    heapq.heappush(heap, (-np.inf, next(counter), PartialFixing(), None))
+    heapq.heappush(heap, (-np.inf, next(counter), _Node(PartialFixing(), ctx.p)))
     node_count = 0
     status = "optimal"
 
     while heap:
         least = heap[0][0]  # the least pushed bound of the open nodes, the batch's first
-        fixes, warms = [], []
-        while heap and len(fixes) < _BB_BATCH:
-            pushed_bound, _, fix, warm = heapq.heappop(heap)
+        batch = []
+        while heap and len(batch) < _BB_BATCH:
+            pushed_bound, _, node = heapq.heappop(heap)
             if pushed_bound < best_val - margin():
-                fixes.append(fix)
-                warms.append(warm)
-        if not fixes:
+                batch.append(node)
+        if not batch:
             break
         if time.monotonic() - start > time_limit:
             status = "time_limit"
             break
-        node_count += len(fixes)
-        results, new = ctx.node_bounds(fixes, best_val - margin(), warms)
+        node_count += len(batch)
+        new = ctx.node_bounds(batch, best_val - margin())
         # a completion met before has a value no less than the incumbent
         if new:
             sols, costs = zip(*new)
@@ -396,22 +385,19 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             if values[s] < best_val:
                 best_val = float(values[s])
                 best_sol = sols[s]
-        for fix, result in zip(fixes, results):
-            if result is None:
-                continue  # the fixing has no completion
-            bound, attained, warm = result
-            if bound >= best_val - margin():
-                continue
-            sol, costs, certificate = attained
-            fix = inst.kind.reduced_fixing(costs, fix, sol, bound, best_val - margin(), certificate)
-            e = ctx.branch_element(fix, attained)
+        for node in batch:
+            if node.attained is None or node.bound >= best_val - margin():
+                continue  # no completion, or pruned
+            sol, _, certificate, costs = node.attained
+            fix = inst.kind.reduced_fixing(costs, node.fix, sol, node.bound, best_val - margin(), certificate)
+            e = ctx.branch_element(fix, sol)
             if e is None:
                 continue  # fully decided; the bound solve already evaluated it
             for child in (
                 PartialFixing(fix.forced_in | {e}, fix.forced_out),
                 PartialFixing(fix.forced_in, fix.forced_out | {e}),
             ):
-                heapq.heappush(heap, (bound, next(counter), child, warm))
+                heapq.heappush(heap, (node.bound, next(counter), _Node(child, node.w, node.avg, node.last)))
 
     return ExactResult(
         solution=best_sol,

@@ -359,8 +359,7 @@ class Explicit(ProblemKind):
                 yield np.array(rows, dtype=_index_dtype(n)).reshape(len(rows), length)
 
     def solve(self, costs, fix):
-        compatible = [s for s in self.solutions
-                      if fix.forced_in.issubset(s) and fix.forced_out.isdisjoint(s)]
+        compatible = [s for s in self.solutions if fix.admits(s)]
         if not compatible:
             raise FeasibilityError("no explicit solution is compatible with the fixing")
         totals = [float(costs[list(s)].sum()) for s in compatible]
@@ -460,13 +459,17 @@ def is_feasible(inst: ScenarioInstance, sol: Solution) -> bool:
     return True
 
 
+def _row_costs(inst: ScenarioInstance, rows) -> np.ndarray:
+    # the scenario costs of rows of element indices: a K-vector for one row,
+    # K-by-S for a block of S rows, the same floats either way (zeros if empty)
+    return inst.costs[:, rows].sum(axis=-1)
+
+
 def scenario_costs(inst: ScenarioInstance, sol: Solution, check: bool = True) -> np.ndarray:
     """All K per-scenario costs of sol as a vector."""
     if check:
         check_feasible(inst, sol)
-    if not sol.chosen:
-        return np.zeros(inst.K)
-    return inst.costs[:, list(sol.chosen)].sum(axis=1)
+    return _row_costs(inst, list(sol.chosen))
 
 
 def scenario_cost(inst: ScenarioInstance, sol: Solution, j: int) -> float:

@@ -62,6 +62,13 @@ class TestSelection:
             with pytest.raises(ValueError, match="outside 0..2"):
                 solve_selection([1.0, 2.0, 3.0], 2, fix)
 
+    def test_rejects_non_integer_size(self):
+        # True is not read as q=1, nor 2.0 as q=2
+        for q in (True, 2.0, 1.5):
+            with pytest.raises(ValueError, match="not an integer"):
+                solve_selection([3.0, 1.0, 2.0], q)
+        assert solve_selection([3.0, 1.0, 2.0], np.int64(2))[0].chosen == (1, 2)
+
     def test_rows_match_one_row_solves(self):
         # Selection.solve_rows gives each row what solve_selection gives it, to the bit
         rng = np.random.RandomState(2)

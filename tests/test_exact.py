@@ -420,6 +420,12 @@ def _tie_heavy_assignment(rng, m: int) -> ScenarioInstance:
     )
 
 
+def _child(node, fix: PartialFixing):
+    # a node with the given fixing that continues from node's final state, as
+    # exact_bb pushes it
+    return exact._Node(fix, node.w, node.avg, node.last)
+
+
 class TestBranchAndBound:
     @pytest.mark.parametrize(
         "kind, size, k, alpha, seed, nodes, objective", _BB_PINS,
@@ -511,6 +517,14 @@ class TestBranchAndBound:
         assert _grid_digest(results) == "b931da08b5799f4a6683305e676b8bab4b35b5ee756d6263a8e504d268ea555f"
         assert sum(res.node_count for res in results) == 5004
 
+    def test_scale_selection_is_pinned(self):
+        # the four selection n=60 (q=15), K=10, alpha=1e-4 instances of the
+        # scale grid (seed 2), pinned as the desk cells are
+        results = [exact_bb(gen_instance("selection", 60, 10, 1e-4, instance_seed(2, "selection", 60, 10, 1e-4, i)))
+                   for i in range(4)]
+        assert _grid_digest(results) == "ab0b565bcf76549be96a4e38e0dfe9bc40a8cc1538bf614935320ab01410d607"
+        assert sum(res.node_count for res in results) == 12544
+
     def test_uniform_v_closes_at_root(self):
         rng = np.random.RandomState(7)
         for _ in range(10):
@@ -582,44 +596,39 @@ class TestBranchAndBound:
 
     def test_node_bound_below_subtree_minimum(self):
         # validity of the relaxation: bound(fix) <= min WOWA over completions
-        from wowaopt.exact import _BBContext
-
         rng = np.random.RandomState(10)
         for _ in range(40):
             inst = random_instance(rng, "selection", 8, rng.randint(2, 6), q=3)
-            ctx = _BBContext(inst)
+            ctx = exact._BBContext(inst)
             e1, e2 = rng.choice(8, size=2, replace=False).tolist()
-            fix = PartialFixing(frozenset({e1}), frozenset({e2}))
-            (bound, _, warm), = ctx.node_bounds([fix], np.inf, [None])[0]
+            node = exact._Node(PartialFixing(frozenset({e1}), frozenset({e2})), ctx.p)
+            ctx.node_bounds([node], np.inf)
             completions = [
                 wowa_value(inst, Solution((e1,) + rest))
                 for rest in itertools.combinations(
                     [i for i in range(8) if i not in (e1, e2)], 2
                 )
             ]
-            assert bound <= min(completions) + TOL
+            assert node.bound <= min(completions) + TOL
             # a child warm-started from that state still gets a valid bound,
             # bounded in one batch with its sibling
             e3 = int(rng.choice([i for i in range(8) if i not in (e1, e2)]))
-            child = PartialFixing(fix.forced_in | {e3}, fix.forced_out)
-            sibling = PartialFixing(fix.forced_in, fix.forced_out | {e3})
-            results, _ = ctx.node_bounds([child, sibling], np.inf, [warm, warm])
-            child_bound, _, (w, _, _) = results[0]
+            child = _child(node, PartialFixing(node.fix.forced_in | {e3}, node.fix.forced_out))
+            sibling = _child(node, PartialFixing(node.fix.forced_in, node.fix.forced_out | {e3}))
+            ctx.node_bounds([child, sibling], np.inf)
             child_completions = [
                 wowa_value(inst, Solution((e1, e3) + rest))
                 for rest in itertools.combinations(
                     [i for i in range(8) if i not in (e1, e2, e3)], 1
                 )
             ]
-            assert child_bound <= min(child_completions) + TOL
-            assert np.all(w >= 0.0)
-            assert abs(w.sum() - 1.0) <= SUM_TOL
+            assert child.bound <= min(child_completions) + TOL
+            assert np.all(child.w >= 0.0)
+            assert abs(child.w.sum() - 1.0) <= SUM_TOL
 
     def test_child_reuses_its_parents_last_solve(self, monkeypatch):
         # the child whose fixing admits the parent's last completion takes that
         # solve as its first and makes one base solve fewer than its sibling
-        from wowaopt import exact
-
         fixings = []
         solve_rows = Selection.solve_rows
 
@@ -632,16 +641,17 @@ class TestBranchAndBound:
         for _ in range(40):
             inst = random_instance(rng, "selection", 10, rng.randint(2, 6), q=3)
             ctx = exact._BBContext(inst)
-            (*_, warm), = ctx.node_bounds([PartialFixing()], np.inf, [None])[0]
-            w, _, last = warm
+            root = exact._Node(PartialFixing(), ctx.p)
+            ctx.node_bounds([root], np.inf)
+            last, last_value, _, _ = root.last
             e = int(rng.randint(10))
             forced_in, forced_out = PartialFixing({e}, ()), PartialFixing((), {e})
-            admitting = forced_in if e in last[0].chosen else forced_out
+            admitting = forced_in if e in last.chosen else forced_out
             # for selection the reused solve is the one the child would make, to the bit
-            sol, value = solve_with_costs(inst.kind, w @ ctx.C, admitting)
-            assert (sol, value.hex()) == (last[0], last[1].hex())
+            sol, value = solve_with_costs(inst.kind, root.w @ ctx.C, admitting)
+            assert (sol, value.hex()) == (last, last_value.hex())
             fixings.clear()
-            ctx.node_bounds([forced_in, forced_out], np.inf, [warm, warm])
+            ctx.node_bounds([_child(root, forced_in), _child(root, forced_out)], np.inf)
             for child in (forced_in, forced_out):
                 assert sum(f is child for f in fixings) == inst.kind.fw_steps - (child is admitting)
 
@@ -649,8 +659,6 @@ class TestBranchAndBound:
         # On 0-2 costs the Hungarian may return another of the tied matchings
         # than the reused one; every bound down to depth 3 must still hold.
         # Each level of the tree is bounded in one batch.
-        from wowaopt.exact import _BBContext
-
         m = 5
         matchings = [Solution([r * m + c for r, c in enumerate(perm)])
                      for perm in itertools.permutations(range(m))]
@@ -659,28 +667,30 @@ class TestBranchAndBound:
         for _ in range(40):
             inst = _tie_heavy_assignment(rng, m)
             values = [(set(sol.chosen), wowa_value(inst, sol)) for sol in matchings]
-            ctx = _BBContext(inst)
-            level = [(PartialFixing(), None)]
+            ctx = exact._BBContext(inst)
+            level = [exact._Node(PartialFixing(), ctx.p)]
             while level:
-                fixes, warms = (list(side) for side in zip(*level))
-                results, _ = ctx.node_bounds(fixes, np.inf, warms)
-                level = []
-                for fix, warm, result in zip(fixes, warms, results):
-                    assert result is not None
-                    bound, completion, child_warm = result
-                    assert bound <= min(
+                warm = [(node.w, node.last) for node in level]  # what each node continues from
+                ctx.node_bounds(level, np.inf)
+                children = []
+                for node, (w, last) in zip(level, warm):
+                    fix = node.fix
+                    assert node.attained is not None
+                    assert node.bound <= min(
                         value for chosen, value in values
                         if fix.forced_in <= chosen and not fix.forced_out & chosen
                     ) + TOL
-                    if warm is not None:
-                        last = warm[2][0]
-                        if (fix.forced_in <= set(last.chosen)
-                                and not fix.forced_out & set(last.chosen)):
-                            other_tie += solve_with_costs(inst.kind, warm[0] @ ctx.C, fix)[0] != last
-                    e = ctx.branch_element(fix, completion)
+                    if last is not None:
+                        last_sol, *_ = last
+                        if (fix.forced_in <= set(last_sol.chosen)
+                                and not fix.forced_out & set(last_sol.chosen)):
+                            other_tie += solve_with_costs(inst.kind, w @ ctx.C, fix)[0] != last_sol
+                    sol, *_ = node.attained
+                    e = ctx.branch_element(fix, sol)
                     if e is not None and len(fix.forced_in) + len(fix.forced_out) < 3:
-                        level.append((PartialFixing(fix.forced_in | {e}, fix.forced_out), child_warm))
-                        level.append((PartialFixing(fix.forced_in, fix.forced_out | {e}), child_warm))
+                        children.append(_child(node, PartialFixing(fix.forced_in | {e}, fix.forced_out)))
+                        children.append(_child(node, PartialFixing(fix.forced_in, fix.forced_out | {e})))
+                level = children
         assert other_tie > 0  # the case the test is for did occur
 
     def test_node_bounds_are_lockstep_invariant(self):
@@ -690,8 +700,6 @@ class TestBranchAndBound:
         # mix warm and cold nodes, children that reuse their parent's last
         # solve (and its duals), fixings without completion, and targets that
         # stop nodes at different steps.
-        from wowaopt.exact import _BBContext
-
         def bits(a):
             return None if a is None else np.asarray(a).tobytes()
 
@@ -699,12 +707,15 @@ class TestBranchAndBound:
             # an assignment solve's (free rows, free columns, u, v); None for selection
             return None if duals is None else (*duals[:2], *([x.hex() for x in d] for d in duals[2:]))
 
-        def outcome(result):
-            if result is None:
+        def solve_bits(solved):
+            if solved is None:
                 return None
-            bound, (sol, costs, duals), (w, avg, (last, value, last_duals, last_costs)) = result
-            return (bound.hex(), sol, bits(costs), duals_bits(duals), bits(w), bits(avg), last,
-                    value.hex(), duals_bits(last_duals), bits(last_costs))
+            sol, value, duals, costs = solved
+            return sol, value.hex(), duals_bits(duals), bits(costs)
+
+        def outcome(node):
+            return (node.bound.hex(), solve_bits(node.attained), bits(node.w), bits(node.avg),
+                    solve_bits(node.last))
 
         def met(new):
             return {sol.chosen: bits(costs) for sol, costs in new}
@@ -715,41 +726,51 @@ class TestBranchAndBound:
             kind = ("selection", "assignment")[trial % 2]
             inst = random_instance(rng, kind, 12 if kind == "selection" else 4,
                                    rng.randint(1, 8), q=rng.randint(2, 6))
-            ctx = _BBContext(inst)
+            ctx = exact._BBContext(inst)
             elements = rng.permutation(inst.n).tolist()
             parents = [PartialFixing(elements[:j], elements[j:j + 2]) for j in range(3)]
-            parents = [fix for fix in parents if inst.kind.free_elements(fix, inst.n)]
-            results, _ = ctx.node_bounds(parents, np.inf, [None] * len(parents))
-            fixes, warms = [], []
-            for fix, result in zip(parents, results):
-                if result is None:
+            parents = [exact._Node(fix, ctx.p) for fix in parents if inst.kind.free_elements(fix, inst.n)]
+            ctx.node_bounds(parents, np.inf)
+            specs = []  # (fixing, the parent whose final state it continues from, or None)
+            for parent in parents:
+                if parent.attained is None:
                     continue
-                warm, chosen = result[2], result[2][2][0].chosen
+                fix, (last, *_) = parent.fix, parent.last
                 for e in rng.choice(sorted(inst.kind.free_elements(fix, inst.n)), size=2):
                     e = int(e)
-                    fixes += [PartialFixing(fix.forced_in | {e}, fix.forced_out),
-                              PartialFixing(fix.forced_in, fix.forced_out | {e})]
-                    warms += [warm, warm] if e in chosen or rng.randint(2) else [warm, None]
+                    specs += [(PartialFixing(fix.forced_in | {e}, fix.forced_out), parent),
+                              (PartialFixing(fix.forced_in, fix.forced_out | {e}),
+                               parent if e in last.chosen or rng.randint(2) else None)]
             # a fixing without completion: too many forced in, or a row forced out
             if kind == "selection":
-                fixes.append(PartialFixing(range(inst.kind.q + 1), ()))
+                specs.append((PartialFixing(range(inst.kind.q + 1), ()), None))
             else:
-                fixes.append(PartialFixing((), range(inst.kind.m)))
-            warms.append(None)
-            order = rng.permutation(len(fixes))
-            fixes, warms = [fixes[i] for i in order], [warms[i] for i in order]
-            alone = [_BBContext(inst).node_bounds([fix], np.inf, [warm]) for fix, warm in zip(fixes, warms)]
-            finite = [result[0] for (result,), _ in alone if result is not None]
+                specs.append((PartialFixing((), range(inst.kind.m)), None))
+            specs = [specs[i] for i in rng.permutation(len(specs))]
+
+            def batch():
+                return [exact._Node(fix, ctx.p) if parent is None else _child(parent, fix)
+                        for fix, parent in specs]
+
+            def alone(target):
+                nodes, new = batch(), []
+                for node in nodes:
+                    new += exact._BBContext(inst).node_bounds([node], target)
+                return nodes, new
+
+            single, single_new = alone(np.inf)
             # stop some nodes early: a target among the nodes' own bounds
-            target = (np.inf, float(np.median(finite)))[trial % 3 > 0]
             if trial % 3 > 0:
-                alone = [_BBContext(inst).node_bounds([fix], target, [warm])
-                         for fix, warm in zip(fixes, warms)]
-            together, new = _BBContext(inst).node_bounds(fixes, target, warms)
-            assert [outcome(r) for r in together] == [outcome(r) for (r,), _ in alone]
+                target = float(np.median([node.bound for node in single if node.attained is not None]))
+                single, single_new = alone(target)
+            else:
+                target = np.inf
+            together = batch()
+            new = exact._BBContext(inst).node_bounds(together, target)
+            assert [outcome(node) for node in together] == [outcome(node) for node in single]
             assert len(met(new)) == len(new)  # each completion once
-            assert met(new) == {k: v for _, single in alone for k, v in met(single).items()}
-            cases += sum(r is None for r in together)
+            assert met(new) == met(single_new)
+            cases += sum(node.attained is None for node in together)
         assert cases >= 60  # every batch held a fixing without completion
 
     def test_matches_brute_force_on_tie_heavy_assignment(self):

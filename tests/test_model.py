@@ -45,6 +45,15 @@ class TestSolution:
         with pytest.raises(ValueError):
             Solution([1, 1, 2])
 
+    def test_rejects_non_integer_indices(self):
+        # a float or bool index is not truncated or read as 0/1; numpy integers
+        # and generators are accepted
+        for chosen in ([1.5, 2], [True, 2], [2.0, 1], ["1"]):
+            with pytest.raises(ValueError, match="must be integers"):
+                Solution(chosen)
+        assert Solution(np.array([3, 1], dtype=np.int8)).chosen == (1, 3)
+        assert Solution(i for i in (2, 0)).chosen == (0, 2)
+
     def test_assignment_pair_decoding(self):
         sol = Solution([1, 2])  # (0,1) and (1,0) for m=2
         assert sol.as_pairs(2) == ((0, 1), (1, 0))
