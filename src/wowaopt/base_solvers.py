@@ -25,7 +25,6 @@ __all__ = [
     "PartialFixing",
     "NO_FIXING",
     "ProblemKind",
-    "BLOCK_ROWS",
     "solve_selection",
     "solve_assignment",
     "assign_rows",
@@ -113,8 +112,8 @@ class PartialFixing:
         if cached is None or cached[0] != m:
             n = m * m
             fixed = self.forced_in | self.forced_out
-            if fixed and (min(fixed) < 0 or max(fixed) >= n):
-                raise ValueError(f"fixed edge index outside 0..{n - 1}")
+            if not all(_is_int(e) and 0 <= e < n for e in fixed):
+                raise ValueError(f"fixed edge index not an integer or outside 0..{n - 1}")
             forced_in = sorted(int(e) for e in self.forced_in)
             rows = {e // m for e in forced_in}
             cols = {e % m for e in forced_in}
@@ -133,8 +132,6 @@ class PartialFixing:
 
 NO_FIXING = PartialFixing()
 
-BLOCK_ROWS = 2048  # the most feasible solutions one block of ProblemKind.enumerate holds
-
 
 class ProblemKind:
     """Base class of the feasible sets over elements 0..n-1; a kind is one subclass.
@@ -146,13 +143,12 @@ class ProblemKind:
     * ``check(sol)``: raise FeasibilityError unless sol is feasible (its
       indices are already known to be in range);
     * ``size(n)`` and ``enumerate(n)``: how many feasible solutions there
-      are, and each of them once, as the rows of 2-D arrays ("blocks") of
-      at most ``BLOCK_ROWS`` rows in the smallest signed integer dtype that
+      are, and each of them once, as a list of 2-D arrays, one per run of
+      equal-length solutions, in the smallest signed integer dtype that
       holds n - 1 (int8 up to n = 128), each row's indices ascending.  The
       order is fixed (brute force returns the first of equal optima in it):
-      selection and assignment yield their solutions in lexicographic order,
-      in full blocks but the last, and explicit in list order, one block per
-      run of equal-length solutions;
+      selection and assignment return one array of their solutions in
+      lexicographic order, and explicit its list in order;
     * ``solve(costs, fix)``: the cheapest feasible (Solution, cost) under a
       flat n-vector of costs and a partial fixing, raising FeasibilityError
       when the fixing has no feasible completion;
@@ -232,8 +228,8 @@ def solve_selection(costs, q: int, fix: PartialFixing = NO_FIXING) -> tuple[Solu
         raise FeasibilityError(f"selection size q={q} outside 1..{n}")
     if not np.all(np.isfinite(c)):
         raise ValueError("selection costs must be finite")
-    if any(not 0 <= e < n for e in fix.forced_in | fix.forced_out):
-        raise ValueError(f"fixed element index outside 0..{n - 1}")
+    if not all(_is_int(e) and 0 <= e < n for e in fix.forced_in | fix.forced_out):
+        raise ValueError(f"fixed element index not an integer or outside 0..{n - 1}")
     if len(fix.forced_in) > q:
         raise FeasibilityError("more elements forced in than the selection size")
     if n - len(fix.forced_out) < q:

@@ -16,13 +16,13 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .aggregation import NonIncreasingWeightsError, _rank_omegas, _worst_first, wowa_batch
 from .approx import approx_solve
-from .base_solvers import BLOCK_ROWS, FeasibilityError, PartialFixing, ProblemKind, Solution
+from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
 from .model import ScenarioInstance, _row_costs, scenario_costs
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 10**6  # the largest search space brute_force enumerates
+BLOCK_ROWS = 2048  # the most solutions one kernel call of brute_force evaluates
 
 
 @dataclass(frozen=True)
@@ -51,38 +52,33 @@ def search_space_size(inst: ScenarioInstance) -> int:
 
 
 @functools.lru_cache(maxsize=2)
-def _enumerated(kind: ProblemKind, n: int) -> tuple[np.ndarray, ...]:
-    """``kind.enumerate(n)``'s blocks, read-only.
+def _enumerated(kind: ProblemKind, n: int) -> tuple[list[np.ndarray], ...]:
+    """``kind.enumerate(n)`` in kernel batches of read-only blocks.
 
-    Enumeration is the same for every instance of a kind and size, so brute
-    force keeps the last two (kinds are frozen and compare by value).  At
+    A block is a copy of at most BLOCK_ROWS rows of one array, so that the
+    entry is small allocations and the built arrays are freed (views kept
+    them whole, which raised the peak resident memory).  Consecutive blocks
+    are joined until a batch holds BLOCK_ROWS solutions, so that short runs
+    (an explicit list of ragged lengths) share kernel calls.  Enumeration is
+    the same for every instance of a kind and size, so brute force keeps the
+    last two (kinds are frozen and compare by value).  At
     ``BRUTE_FORCE_LIMIT`` an entry takes at most about 8 MB (selection n=22,
     q=11, int8); an explicit kind's entry is smaller than its own solution
     list.
     """
-    blocks = tuple(kind.enumerate(n))
-    for block in blocks:
-        block.flags.writeable = False
-    return blocks
-
-
-def _kernel_batches(inst: ScenarioInstance) -> Iterator[list[np.ndarray]]:
-    """The enumerated blocks in kernel-call batches.
-
-    Consecutive blocks are joined until they hold BLOCK_ROWS solutions, so
-    that short blocks (an explicit list of ragged lengths) share kernel calls;
-    every full block is a batch of its own.
-    """
-    blocks: list[np.ndarray] = []
-    rows = 0
-    for block in _enumerated(inst.kind, inst.n):
-        blocks.append(block)
-        rows += len(block)
-        if rows >= BLOCK_ROWS:
-            yield blocks
-            blocks, rows = [], 0
-    if blocks:
-        yield blocks
+    batches, batch, rows = [], [], 0
+    for array in kind.enumerate(n):
+        for start in range(0, len(array), BLOCK_ROWS):
+            block = array[start:start + BLOCK_ROWS].copy()
+            block.flags.writeable = False
+            batch.append(block)
+            rows += len(block)
+            if rows >= BLOCK_ROWS:
+                batches.append(batch)
+                batch, rows = [], 0
+    if batch:
+        batches.append(batch)
+    return tuple(batches)
 
 
 def _screened(block: np.ndarray, bounds: list[np.ndarray], cutoff: float) -> np.ndarray:
@@ -122,7 +118,7 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
     bounds = [floor]
     best_val = np.inf
     best_sub: Optional[list[int]] = None
-    for blocks in _kernel_batches(inst):
+    for blocks in _enumerated(inst.kind, inst.n):
         if best_sub is not None:  # with no best yet, a batch is evaluated whole
             # the margin, about 1e6 times the rounding error of both sums,
             # keeps every row that the kernel could round to or below the best
@@ -151,7 +147,7 @@ def brute_force(inst: ScenarioInstance, check_pareto: bool = False) -> ExactResu
     pareto: Optional[bool] = None
     if check_pareto:  # whether no enumerated cost vector dominates the best's
         b = best_costs[:, None]
-        costs = (_row_costs(inst, block) for block in _enumerated(inst.kind, inst.n))
+        costs = (_row_costs(inst, block) for batch in _enumerated(inst.kind, inst.n) for block in batch)
         pareto = not any(np.any(np.all(A <= b, axis=0) & np.any(A < b, axis=0)) for A in costs)
 
     return ExactResult(
@@ -326,8 +322,8 @@ class _BBContext:
 
 
 def check_time_limit(time_limit: float) -> float:
-    """A branch-and-bound time limit: positive seconds, math.inf for none."""
-    if not time_limit > 0:  # NaN fails the comparison too
+    """A branch-and-bound time limit: positive seconds, math.inf for none; not a bool."""
+    if isinstance(time_limit, bool) or not time_limit > 0:  # NaN fails the comparison too
         raise ValueError(f"time limit must be positive seconds (inf for none), got {time_limit!r}")
     return time_limit
 

@@ -371,8 +371,8 @@ def _run_one(cfg: ExperimentConfig, k: int, alpha: Optional[float], index: int) 
 
 
 def check_jobs(jobs: int) -> int:
-    """A benchmark worker count: a positive integer."""
-    if jobs < 1:
+    """A benchmark worker count: a positive integer, not a bool."""
+    if not _is_int(jobs) or jobs < 1:
         raise ValueError(f"jobs must be a positive worker count, got {jobs!r}")
     return jobs
 

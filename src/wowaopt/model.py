@@ -14,14 +14,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import comb, factorial, inf
-from typing import Iterator
 
 import numpy as np
 
 from . import base_solvers
 from .aggregation import ProbabilityVector, RankWeights, WeightVector, wowa_batch
 from .aggregation import _is_int, _rank_omegas, _worst_first
-from .base_solvers import BLOCK_ROWS, FeasibilityError, PartialFixing, ProblemKind, Solution
+from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
 
 __all__ = [
     "FORMAT_VERSION",
@@ -112,14 +111,6 @@ def _index_dtype(n: int) -> np.dtype:
                 if n - 1 <= np.iinfo(t).max)
 
 
-def _blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
-    # the rows in runs of BLOCK_ROWS, each copied out, so that the blocks
-    # brute force caches are small allocations and the built array is freed
-    # (views kept it whole, which raised the peak resident memory)
-    for start in range(0, len(rows), BLOCK_ROWS):
-        yield rows[start:start + BLOCK_ROWS].copy()
-
-
 def _prefixed(heads, tails: list[np.ndarray]) -> np.ndarray:
     # each head followed by each row of its tail, tail after tail, written
     # in place so that no list of parts is joined
@@ -158,7 +149,7 @@ class Selection(ProblemKind):
     def size(self, n: int) -> int:
         return comb(n, self.q)
 
-    def enumerate(self, n: int) -> Iterator[np.ndarray]:
+    def enumerate(self, n: int) -> list[np.ndarray]:
         # Built by suffix length k in lexicographic order: the k-subsets of
         # {q-k, ..., n-1} are, for each least element i, i followed by the
         # (k-1)-subsets of {i+1, ..., n-1}, which are a tail of the level
@@ -169,7 +160,7 @@ class Selection(ProblemKind):
             heads = range(q - k, n - k + 1)
             starts = np.searchsorted(rows[:, 0], heads, side="right")
             rows = _prefixed(heads, [rows[s:] for s in starts])
-        yield from _blocks(rows)
+        return [rows]
 
     def solve(self, costs, fix):
         return base_solvers.solve_selection(costs, self.q, fix)
@@ -250,17 +241,23 @@ class Assignment(ProblemKind):
     def size(self, n: int) -> int:
         return factorial(self.m)
 
-    def enumerate(self, n: int) -> Iterator[np.ndarray]:
+    def enumerate(self, n: int) -> list[np.ndarray]:
         # The permutations of the columns in lexicographic order, built by
         # length k: those of 0..k-1 are, for each first column c, c followed
         # by the permutations of 0..k-2 with every entry at or above c moved
-        # up by one.
+        # up by one, written in place so that no shifted copy is kept.
         m, dtype = self.m, _index_dtype(n)
         cols = np.zeros((1, 0), dtype)
         for k in range(1, m + 1):
-            cols = _prefixed(range(k), [cols + (cols >= c) for c in range(k)])
+            size = len(cols)
+            rows = np.empty((k * size, k), dtype)
+            for c in range(k):
+                part = rows[c * size:(c + 1) * size]
+                part[:, 0] = c
+                np.add(cols, cols >= c, out=part[:, 1:])
+            cols = rows
         cols += np.arange(0, n, m, dtype=dtype)
-        yield from _blocks(cols)
+        return [cols]
 
     def solve(self, costs, fix):
         return base_solvers.solve_assignment(costs.reshape(self.m, self.m), fix)
@@ -351,12 +348,10 @@ class Explicit(ProblemKind):
     def size(self, n: int) -> int:
         return len(self.solutions)
 
-    def enumerate(self, n: int) -> Iterator[np.ndarray]:
-        for length, run in itertools.groupby(self.solutions, len):
-            run = list(run)
-            for start in range(0, len(run), BLOCK_ROWS):
-                rows = run[start:start + BLOCK_ROWS]
-                yield np.array(rows, dtype=_index_dtype(n)).reshape(len(rows), length)
+    def enumerate(self, n: int) -> list[np.ndarray]:
+        # an empty solution's run reshapes to (len(run), 0); -1 cannot
+        runs = [list(run) for _, run in itertools.groupby(self.solutions, len)]
+        return [np.array(run, dtype=_index_dtype(n)).reshape(len(run), len(run[0])) for run in runs]
 
     def solve(self, costs, fix):
         compatible = [s for s in self.solutions if fix.admits(s)]

@@ -58,7 +58,9 @@ class TestSelection:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 solve_selection([1.0, bad, 2.0], 2)
-        for fix in (PartialFixing({3}, ()), PartialFixing((), {-1})):
+        # True and 1.0 are not read as element 1
+        for fix in (PartialFixing({3}, ()), PartialFixing((), {-1}), PartialFixing({True}, ()),
+                    PartialFixing((), {1.0})):
             with pytest.raises(ValueError, match="outside 0..2"):
                 solve_selection([1.0, 2.0, 3.0], 2, fix)
 
@@ -131,6 +133,12 @@ class TestAssignment:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             solve_assignment([[1, 2, 3], [4, 5, 6]])
+
+    def test_rejects_non_integer_fixed_edges(self):
+        # True and 1.0 are not read as edge 1
+        for fix in (PartialFixing({True}, ()), PartialFixing((), {1.0})):
+            with pytest.raises(ValueError, match="not an integer"):
+                solve_assignment([[1.0, 2.0], [3.0, 1.0]], fix)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_costs(self, bad):

@@ -206,10 +206,16 @@ class TestBruteForce:
                  (Explicit(((0, 199), (5,), (7, 130))), 200, np.int16), (Selection(q=2), 200, np.int16)]
         for kind, n, dtype in cases:
             exact._enumerated.cache_clear()
-            blocks = exact._enumerated(kind, n)
-            expected = list(kind.enumerate(n))
-            assert [b.tolist() for b in blocks] == [b.tolist() for b in expected]
-            assert all(b.dtype == dtype and not b.flags.writeable for b in blocks)
+            batches = exact._enumerated(kind, n)
+            blocks = [block for batch in batches for block in batch]
+            assert ([row for block in blocks for row in block.tolist()]
+                    == [row for array in kind.enumerate(n) for row in array.tolist()])
+            # each block a compact, read-only copy that owns its memory
+            assert all(len(b) <= exact.BLOCK_ROWS and not b.flags.writeable and b.base is None
+                       and b.dtype == dtype for b in blocks)
+            # every batch but the last fills a kernel call
+            assert all(sum(map(len, batch)) >= exact.BLOCK_ROWS for batch in batches[:-1])
+        exact._enumerated.cache_clear()
 
     def test_cached_enumeration_gives_the_same_outcome(self):
         rng = np.random.RandomState(22)
@@ -221,14 +227,15 @@ class TestBruteForce:
             outcomes.append(_pin_outcome(inst))
             assert len(set(outcomes)) == 1
 
-    def test_screens_match_a_full_evaluation(self, monkeypatch):
+    def test_screens_match_a_full_evaluation(self, monkeypatch, request):
         # With generated (nonincreasing) weights both bounds screen.  Kernel
         # batches of 7 rows let them screen all but the first 7 solutions;
         # the reference evaluates every solution and takes the first minimum.
-        cached = exact._enumerated
-        monkeypatch.setattr(exact, "_enumerated", lambda kind, n: tuple(
-            b[i:i + 7] for b in cached(kind, n) for i in range(0, len(b), 7)))
+        # The cache is cleared on both sides, so no 7-row entry is used here
+        # from before or leaks into a later test.
         monkeypatch.setattr(exact, "BLOCK_ROWS", 7)
+        exact._enumerated.cache_clear()
+        request.addfinalizer(exact._enumerated.cache_clear)
         rng = np.random.RandomState(23)
         for i in range(90):
             if i % 3 < 2:
@@ -242,7 +249,7 @@ class TestBruteForce:
             costs = _pin_costs(rng, (k, n), i % 2)  # every other instance tie-heavy 0..3
             inst = ScenarioInstance(costs, numer / numer.sum(),
                                     generate_weights(10.0 ** rng.uniform(-4, -0.5), k), kind)
-            rows = np.vstack(list(kind.enumerate(n)))
+            rows = np.vstack(kind.enumerate(n))
             values = wowa_batch(costs[:, rows].sum(axis=2), inst.v, inst.p)
             best = int(np.argmin(values))
             res = brute_force(inst)
@@ -570,7 +577,7 @@ class TestBranchAndBound:
         assert res.proof_status == "time_limit" and res.node_count > 1
         assert -np.inf < res.lower_bound <= optimum <= res.objective
 
-    @pytest.mark.parametrize("limit", [float("nan"), 0.0, -5.0, -float("inf")])
+    @pytest.mark.parametrize("limit", [float("nan"), 0.0, -5.0, -float("inf"), True])  # True is not 1 s
     def test_rejects_nan_and_nonpositive_time_limits(self, limit):
         rng = np.random.RandomState(9)
         with pytest.raises(ValueError, match="time limit must be positive"):

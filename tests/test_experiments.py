@@ -288,7 +288,7 @@ class TestRunBenchmark:
         assert [r.exact_value for r in serial] == [r.exact_value for r in parallel]
         assert [r.approx_value for r in serial] == [r.approx_value for r in parallel]
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("jobs", [0, -3, True, 2.5, 2.0])  # True is not one worker, nor 2.0 two
     def test_nonpositive_jobs_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             run_benchmark(small_config(), jobs=jobs)
