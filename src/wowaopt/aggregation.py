@@ -42,12 +42,38 @@ class NonIncreasingWeightsError(ValueError):
     """A method that needs v1 >= v2 >= ... >= vK was given other weights."""
 
 
+def _reals(values, name: str, ndim: int, error: type = ValueError) -> np.ndarray:
+    """Real-number input as a float array of ndim dimensions; every public entry reads through it.
+
+    Entries are Python or numpy ints and floats: bools, strings and None,
+    which numpy would coerce, raise error naming the argument, and so does
+    ragged nesting.  A float64 array passes as it is, not copied.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        arr = values.astype(float, copy=False)
+    elif type(values) in (list, tuple) and set(map(type, values)) <= {int, float}:
+        arr = np.array(values, dtype=float)  # a flat list: one pass over its entry types
+    else:
+        try:
+            arr = np.array(values, dtype=object)
+        except ValueError:  # nested sequences numpy cannot shape
+            arr = np.empty(0, dtype=object)
+        if arr.ndim == ndim:
+            for x in arr.flat:
+                if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                    raise error(f"{name}: expected a number, got {x!r}")
+            arr = arr.astype(float)
+    if arr.ndim != ndim:
+        raise error(f"{name}: must be {('a number', 'a vector', 'a K-by-n matrix')[ndim]}")
+    return arr
+
+
 def _vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty one-dimensional vector")
+    arr = _reals(values, name, 1)
+    if arr.size == 0:
+        raise ValueError(f"{name}: must not be empty")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"{name}: contains non-finite entries")
     return arr
 
 
@@ -55,6 +81,21 @@ def _is_int(value) -> bool:
     # a count such as K or a kind's size: a Python or numpy integer, not a
     # bool and not a float such as 2.0
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _indices(values, name: str, n: int | None = None):
+    """Element indices as Python ints, in 0..n-1 if n is given; every public entry reads through it.
+
+    Python and numpy integers pass, bools and floats such as 1.0 raise.
+    Returns values itself when all are Python ints, else a list.
+    """
+    read = values
+    if not set(map(type, values)) <= {int}:  # the common case in one pass
+        read = [int(i) for i in values] if all(map(_is_int, values)) else None
+    if read is None or n is not None and read and not (min(read) >= 0 and max(read) < n):
+        problem = "must be integers" if n is None else f"not an integer or outside 0..{n - 1}"
+        raise ValueError(f"{name} {problem}, got {list(values)!r}")
+    return read
 
 
 def _check_k(k) -> None:
@@ -68,13 +109,6 @@ def _check_k(k) -> None:
 def _nonincreasing(arr: np.ndarray) -> bool:
     # one exact rule for WeightVector.is_nonincreasing and DistortionFunction.is_concave
     return bool(np.all(arr[:-1] >= arr[1:]))
-
-
-def _check_permutation(perm, k: int) -> tuple[int, ...]:
-    perm = tuple(int(i) for i in perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"expected a permutation of 0..{k - 1}, got {perm}")
-    return perm
 
 
 @dataclass(frozen=True, init=False)
@@ -92,10 +126,10 @@ class WeightVector:
     def __init__(self, values: Sequence[float]):
         arr = _vector(values, "v")
         if np.any(arr < -SUM_TOL) or np.any(arr > 1.0 + SUM_TOL):
-            raise ValueError("weight components must lie in [0, 1]")
+            raise ValueError("v: weight components must lie in [0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
+            raise ValueError(f"v: weights must sum to 1, got {total!r}")
         if abs(total - 1.0) > 1e-12:  # skip a no-op divide so round-trips are exact
             arr = arr / total
         arr = np.clip(arr, 0.0, 1.0)
@@ -150,10 +184,10 @@ class ProbabilityVector:
     def __init__(self, values: Sequence[float]):
         arr = _vector(values, "p")
         if np.any(arr <= 0.0):
-            raise ValueError("probabilities must be strictly positive")
+            raise ValueError("p: probabilities must be strictly positive")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+            raise ValueError(f"p: probabilities must sum to 1, got {total!r}")
         if abs(total - 1.0) > 1e-12:  # skip a no-op divide so round-trips are exact
             arr = arr / total
         object.__setattr__(self, "values", tuple(arr.tolist()))
@@ -216,6 +250,7 @@ class DistortionFunction:
         return _nonincreasing(self._slopes)
 
     def __call__(self, t: float) -> float:
+        t = float(_reals(t, "t", 0))
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"w* is defined on [0, 1], got {t!r}")
         return float(np.interp(t, self._grid, self._bp))
@@ -281,7 +316,9 @@ def rank_weights(v, p, sigma) -> RankWeights:
     p = _coerce_p(p)
     if v.k != p.k:
         raise ValueError(f"v has {v.k} components but p has {p.k}")
-    sigma = _check_permutation(sigma, p.k)
+    sigma = tuple(_indices(tuple(sigma), "permutation entry", p.k))
+    if sorted(sigma) != list(range(p.k)):
+        raise ValueError(f"expected a permutation of 0..{p.k - 1}, got {sigma}")
     omegas = _rank_omegas(v, _cumulate(p._array, list(sigma)))
     return RankWeights(omegas=tuple(omegas.tolist()), permutation=sigma)
 
@@ -297,8 +334,8 @@ def wowa_batch(a_columns: np.ndarray, v, p) -> np.ndarray:
     """
     v = _coerce_v(v)
     p = _coerce_p(p)
-    A = np.asarray(a_columns, dtype=float)
-    if A.ndim != 2 or A.shape[0] != v.k:
+    A = _reals(a_columns, "a_columns", 2)
+    if A.shape[0] != v.k:
         raise ValueError(f"expected a {v.k}-row matrix, got shape {A.shape}")
     if v.k != p.k:
         raise ValueError(f"v has {v.k} components but p has {p.k}")

@@ -39,7 +39,7 @@ class ApproxResult:
 
 def aggregate_costs(inst: ScenarioInstance) -> np.ndarray:
     """Per-element WOWA of the element's own scenario-cost column."""
-    return wowa_batch(np.asarray(inst.costs), inst.v, inst.p)
+    return wowa_batch(inst.costs, inst.v, inst.p)
 
 
 def approx_solve(inst: ScenarioInstance, solver: BaseSolver = EXACT_BASE) -> ApproxResult:

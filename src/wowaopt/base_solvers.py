@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import _is_int
+from .aggregation import _indices, _is_int, _reals
 
 __all__ = [
     "FeasibilityError",
@@ -27,7 +27,6 @@ __all__ = [
     "ProblemKind",
     "solve_selection",
     "solve_assignment",
-    "assign_rows",
     "solve_with_costs",
     "BaseSolver",
     "EXACT_BASE",
@@ -45,10 +44,7 @@ class Solution:
     chosen: tuple[int, ...]
 
     def __init__(self, chosen: Sequence[int]):
-        chosen = tuple(chosen)  # read once: it may be a generator
-        if not all(map(_is_int, chosen)):
-            raise ValueError(f"solution indices must be integers, got {list(chosen)!r}")
-        idx = tuple(sorted(int(i) for i in chosen))
+        idx = tuple(sorted(_indices(tuple(chosen), "solution indices")))  # chosen may be a generator
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate element indices in solution")
         object.__setattr__(self, "chosen", idx)
@@ -81,6 +77,11 @@ class PartialFixing:
         if self.forced_in & self.forced_out:
             raise ValueError("forced_in and forced_out must be disjoint")
 
+    def read(self, n: int) -> "PartialFixing":
+        """This fixing read at a solver's entry: Python int indices in 0..n-1, itself if they are."""
+        read = [_indices(fixed, "fixed element index", n) for fixed in (self.forced_in, self.forced_out)]
+        return self if read == [self.forced_in, self.forced_out] else PartialFixing(*read)
+
     def admits(self, chosen) -> bool:
         """Whether a solution of the chosen elements agrees with the fixing."""
         return self.forced_in.issubset(chosen) and self.forced_out.isdisjoint(chosen)
@@ -111,10 +112,7 @@ class PartialFixing:
         cached = self.__dict__.get("_reduction")
         if cached is None or cached[0] != m:
             n = m * m
-            fixed = self.forced_in | self.forced_out
-            if not all(_is_int(e) and 0 <= e < n for e in fixed):
-                raise ValueError(f"fixed edge index not an integer or outside 0..{n - 1}")
-            forced_in = sorted(int(e) for e in self.forced_in)
+            forced_in = sorted(self.forced_in)
             rows = {e // m for e in forced_in}
             cols = {e % m for e in forced_in}
             reduction = None
@@ -171,7 +169,10 @@ class ProblemKind:
     solved under ``costs`` and ``fix`` or, when ``sol`` satisfies ``fix``,
     under the parent's fixing.  An element may be fixed in (out) when every
     completion with it out (in) costs at least ``cutoff`` under ``costs``.
-    ``sol`` must stay admissible.  By default nothing more is fixed.
+    ``sol`` must stay admissible.  By default nothing more is fixed.  These
+    hooks, ``solve_rows``, ``free_elements`` and ``reduced_fixing`` take the
+    fixings the search built as they are: only ``solve`` reads a fixing's
+    indices, which may come from outside.
     """
 
     tag: str
@@ -220,21 +221,20 @@ def solve_selection(costs, q: int, fix: PartialFixing = NO_FIXING) -> tuple[Solu
 
     The one-row case of ``select_rows``; costs must be finite.
     """
-    c = np.asarray(costs, dtype=float).reshape(1, -1)
-    n = c.shape[1]
+    c = _reals(costs, "costs", 1)
+    n = c.size
     if not _is_int(q):
         raise ValueError(f"selection size q={q!r} is not an integer")
     if not 1 <= q <= n:
         raise FeasibilityError(f"selection size q={q} outside 1..{n}")
     if not np.all(np.isfinite(c)):
         raise ValueError("selection costs must be finite")
-    if not all(_is_int(e) and 0 <= e < n for e in fix.forced_in | fix.forced_out):
-        raise ValueError(f"fixed element index not an integer or outside 0..{n - 1}")
+    fix = fix.read(n)
     if len(fix.forced_in) > q:
         raise FeasibilityError("more elements forced in than the selection size")
     if n - len(fix.forced_out) < q:
         raise FeasibilityError("not enough free elements to complete the selection")
-    chosen, total = select_rows(c, q, fix.shift(n)[None])
+    chosen, total = select_rows(c[None], q, fix.shift(n)[None])
     return Solution._ascending(chosen[0].tolist()), float(total[0])
 
 
@@ -334,12 +334,13 @@ def solve_assignment(cost_matrix, fix: PartialFixing = NO_FIXING) -> tuple[Solut
     The one-row case of ``assign_rows``; costs must be finite.  Edge (row,
     col) is flat element row * m + col.
     """
-    c = np.asarray(cost_matrix, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    c = _reals(cost_matrix, "cost_matrix", 2)
+    if c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("assignment costs must be finite")
     m = c.shape[0]
+    fix = fix.read(m * m)
     if fix.reduction(m) is None:
         raise FeasibilityError("forced-in edges are not a partial matching")
     (solved,) = assign_rows(c.reshape(1, -1), m, [fix])
@@ -352,7 +353,7 @@ def solve_with_costs(kind: ProblemKind, costs, fix: PartialFixing = NO_FIXING) -
     """Solve the kind's linear-cost problem; costs is always a flat n-vector."""
     if not isinstance(kind, ProblemKind):
         raise ValueError(f"unknown problem kind {kind!r}")
-    return kind.solve(np.asarray(costs, dtype=float), fix)
+    return kind.solve(_reals(costs, "costs", 1), fix)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .approx import approx_solve
@@ -29,7 +30,6 @@ from .aggregation import NonIncreasingWeightsError
 from .mip import build_mip, export_lp
 from .model import (
     FeasibilityError,
-    InstanceFormatError,
     read_instance,
     read_solution,
     scenario_costs,
@@ -102,24 +102,21 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from None
+        raise OSError(f"cannot read {path}: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from None
+        raise OSError(f"cannot write {path}: {exc}") from None
 
 
-def _load_instance(path: str):
+def _load_config(path: str) -> ExperimentConfig:
     try:
-        return read_instance(_read_text(path))
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+        return ExperimentConfig.from_dict(json.loads(_read_text(path)))
+    except ValueError as exc:  # invalid JSON or a rule of the config, which names its key
+        raise ValueError(f"bad config: {exc}") from None
 
 
 def _fmt(x: float) -> str:
@@ -149,30 +146,20 @@ def _cmd_generate(args, parser) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = _load_instance(args.inp)
-    try:
-        if args.method == "approx":
-            res = approx_solve(inst)
-            sol, value = res.solution, res.wowa_objective
-            status = "guaranteed" if res.ratio_bound is not None else "no_guarantee"
-            bound = _fmt(res.ratio_bound) if res.ratio_bound is not None else "-"
-        elif args.method == "bb":
-            res = exact_bb(inst, time_limit=args.time_limit)
-            sol, value, status = res.solution, res.objective, res.proof_status
-            bound = _fmt(res.lower_bound) if math.isfinite(res.lower_bound) else "-"
-        else:
-            res = brute_force(inst)
-            sol, value, status = res.solution, res.objective, res.proof_status
-            bound = _fmt(res.lower_bound)
-    except FeasibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NonIncreasingWeightsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ValueError as exc:  # e.g. search space too large
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    inst = read_instance(_read_text(args.inp))
+    if args.method == "approx":
+        res = approx_solve(inst)
+        sol, value = res.solution, res.wowa_objective
+        status = "guaranteed" if res.ratio_bound is not None else "no_guarantee"
+        bound = _fmt(res.ratio_bound) if res.ratio_bound is not None else "-"
+    elif args.method == "bb":
+        res = exact_bb(inst, time_limit=args.time_limit)
+        sol, value, status = res.solution, res.objective, res.proof_status
+        bound = _fmt(res.lower_bound) if math.isfinite(res.lower_bound) else "-"
+    else:
+        res = brute_force(inst)
+        sol, value, status = res.solution, res.objective, res.proof_status
+        bound = _fmt(res.lower_bound)
     print(f"value={_fmt(value)} method={args.method} status={status} bound={bound}")
     if args.out:
         _write_text(args.out, write_solution(sol))
@@ -180,19 +167,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    inst = _load_instance(args.inp)
-    try:
-        sol = read_solution(_read_text(args.solution))
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        costs = scenario_costs(inst, sol)
-        omegas = solution_rank_weights(inst, sol).omegas
-        value = wowa_value(inst, sol)
-    except FeasibilityError as exc:
-        print(f"error: infeasible solution: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    inst = read_instance(_read_text(args.inp))
+    sol = read_solution(_read_text(args.solution))
+    costs = scenario_costs(inst, sol)
+    omegas = solution_rank_weights(inst, sol).omegas
+    value = wowa_value(inst, sol)
     print("scenario_costs=" + ",".join(_fmt(c) for c in costs))
     print("omegas=" + ",".join(_fmt(w) for w in omegas))
     print(f"value={_fmt(value)}")
@@ -200,24 +179,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    inst = _load_instance(args.inp)
-    try:
-        model = build_mip(inst)
-    except NonIncreasingWeightsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    model = build_mip(read_instance(_read_text(args.inp)))
     _write_text(args.out, export_lp(model))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    try:
-        doc = json.loads(_read_text(args.config))
-        cfg = ExperimentConfig.from_dict(doc)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    records = run_benchmark(cfg, jobs=args.jobs,
+    records = run_benchmark(_load_config(args.config), jobs=args.jobs,
                             progress=lambda line: print(line, file=sys.stderr))
     _write_text(args.out_csv, records_to_csv(records))
     if args.summary_csv:
@@ -225,21 +193,27 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# The exit code and message prefix of an error a command raises, from the
+# first row whose class matches; argparse exits 2 itself on bad flags.
+_ERRORS = (
+    (OSError, EXIT_IO, ""),  # the message names the path it cannot read or write
+    (FeasibilityError, EXIT_INFEASIBLE, "infeasible solution: "),
+    (NonIncreasingWeightsError, EXIT_UNSUPPORTED, ""),
+    (ValueError, EXIT_USAGE, ""),  # unparsable input, a bad config, a search space too large
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "generate":
-        return _cmd_generate(args, parser)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "export-mip":
-        return _cmd_export(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    commands = {"generate": partial(_cmd_generate, parser=parser), "solve": _cmd_solve,
+                "eval": _cmd_eval, "export-mip": _cmd_export, "bench": _cmd_bench}
+    try:
+        return commands[args.command](args)
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in _ERRORS if isinstance(exc, cls))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 def run() -> None:

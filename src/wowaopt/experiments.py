@@ -25,14 +25,14 @@ import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import WeightVector, _is_int, generate_weights
+from .aggregation import WeightVector, _check_k, _is_int, generate_weights
 from .approx import approx_solve
 from .exact import brute_force, check_time_limit, exact_bb
 from .mip import build_mip, export_lp
@@ -137,9 +137,9 @@ def gen_instance(
     (size = m, n = m*m elements).  ``alpha`` parameterizes the weight
     generator; None means uniform importance weights.
     """
-    for name, value in (("size", size), ("K", k)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not _is_int(size):
+        raise ValueError(f"size must be an integer, got {size!r}")
+    _check_k(k)
     size, k = int(size), int(k)  # numpy integers overflow in the generator's arithmetic
     if kind == "selection":
         n = size
@@ -151,8 +151,6 @@ def gen_instance(
         problem = Assignment(m=size)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    if k < 1:
-        raise ValueError(f"K must be positive, got {k}")
     rng = SplitMix64(seed)
     numerators = rng.randints(1, 100, k).tolist()
     total = sum(numerators)
@@ -268,22 +266,6 @@ class BenchmarkRecord:
     exact_ms: Optional[float]
     approx_ms: float
 
-    def csv_row(self) -> list[str]:
-        return [
-            self.kind,
-            str(self.size),
-            str(self.k),
-            _alpha_token(self.alpha),
-            str(self.instance),
-            str(self.seed),
-            "unsolved" if self.exact_value is None else repr(self.exact_value),
-            self.exact_status,
-            repr(self.approx_value),
-            "" if self.deviation_pct is None else repr(self.deviation_pct),
-            "" if self.exact_ms is None else f"{self.exact_ms:.3f}",
-            f"{self.approx_ms:.3f}",
-        ]
-
 
 @dataclass(frozen=True)
 class CellSummary:
@@ -299,23 +281,22 @@ class CellSummary:
     mean_exact_ms: Optional[float]
     mean_approx_ms: float
 
-    def csv_row(self) -> list[str]:
-        def opt(x):
-            return "" if x is None else repr(x)
 
-        return [
-            self.kind,
-            str(self.size),
-            str(self.k),
-            _alpha_token(self.alpha),
-            str(self.instances),
-            str(self.solved),
-            str(self.unsolved),
-            opt(self.mean_deviation_pct),
-            opt(self.max_deviation_pct),
-            "" if self.mean_exact_ms is None else f"{self.mean_exact_ms:.3f}",
-            f"{self.mean_approx_ms:.3f}",
-        ]
+def _csv_cell(name: str, value) -> str:
+    if name == "alpha":
+        return _alpha_token(value)
+    if value is None:
+        return "unsolved" if name == "exact_value" else ""
+    if name.endswith("_ms"):
+        return f"{value:.3f}"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_row(record) -> list[str]:
+    # a record's cells in field order: alpha as its token, times in ms to three
+    # places, other floats by repr, a missing value empty and a missing
+    # exact_value as "unsolved"
+    return [_csv_cell(f.name, getattr(record, f.name)) for f in fields(record)]
 
 
 def _deviation_pct(approx: float, exact: float) -> float:
@@ -396,20 +377,10 @@ def run_benchmark(
     ]
 
     def failure_record(k, alpha, index, exc) -> BenchmarkRecord:
-        return BenchmarkRecord(
-            kind=cfg.kind,
-            size=cfg.size,
-            k=k,
-            alpha=alpha,
-            instance=index,
-            seed=instance_seed(cfg.seed, cfg.kind, cfg.size, k, alpha, index),
-            exact_value=None,
-            exact_status=f"error: {exc}",
-            approx_value=float("nan"),
-            deviation_pct=None,
-            exact_ms=None,
-            approx_ms=0.0,
-        )
+        seed = instance_seed(cfg.seed, cfg.kind, cfg.size, k, alpha, index)
+        return BenchmarkRecord(kind=cfg.kind, size=cfg.size, k=k, alpha=alpha, instance=index, seed=seed,
+                               exact_value=None, exact_status=f"error: {exc}", approx_value=float("nan"),
+                               deviation_pct=None, exact_ms=None, approx_ms=0.0)
 
     records: list[BenchmarkRecord] = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
@@ -462,17 +433,17 @@ def summarize(records: Sequence[BenchmarkRecord]) -> list[CellSummary]:
     return out
 
 
-def _csv_text(header: str, rows: list[list[str]]) -> str:
+def _csv_text(header: str, records: Sequence) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header.split(","))
-    writer.writerows(rows)
+    writer.writerows(map(_csv_row, records))
     return buf.getvalue()
 
 
 def records_to_csv(records: Sequence[BenchmarkRecord]) -> str:
-    return _csv_text(RECORD_HEADER, [r.csv_row() for r in records])
+    return _csv_text(RECORD_HEADER, records)
 
 
 def summaries_to_csv(summaries: Sequence[CellSummary]) -> str:
-    return _csv_text(SUMMARY_HEADER, [s.csv_row() for s in summaries])
+    return _csv_text(SUMMARY_HEADER, summaries)

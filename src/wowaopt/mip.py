@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import NonIncreasingWeightsError, _worst_first
+from .aggregation import NonIncreasingWeightsError, _reals, _worst_first
 from .model import ProblemKind, ScenarioInstance, Solution, scenario_costs
 
 __all__ = [
@@ -125,7 +125,7 @@ def export_lp(model: MipModel) -> str:
     n, K = model.n, model.K
     if n < 1:
         raise ValueError("cannot export a model with no elements")
-    costs = np.asarray(model.costs, dtype=float)  # ragged rows raise ValueError
+    costs = _reals(model.costs, "costs", 2)
     if costs.shape != (K, n):
         raise ValueError(f"costs must be {K} rows of n={n} entries")
     xs = [f"x{k + 1}" for k in range(n)]
@@ -192,5 +192,5 @@ def wowa_via_decomposition(inst: ScenarioInstance, sol: Solution) -> float:
 
 def objective_at(model: MipModel, beta, alpha) -> float:
     """Objective value at explicit (beta, alpha); x only enters constraints."""
-    total = float(np.dot(model.obj_beta, np.asarray(beta, dtype=float)))
-    return total + float((model.obj_alpha * np.asarray(alpha, dtype=float)).sum())
+    total = float(np.dot(model.obj_beta, _reals(beta, "beta", 1)))
+    return total + float((model.obj_alpha * _reals(alpha, "alpha", 2)).sum())

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import base_solvers
 from .aggregation import ProbabilityVector, RankWeights, WeightVector, wowa_batch
-from .aggregation import _is_int, _rank_omegas, _worst_first
+from .aggregation import _indices, _is_int, _rank_omegas, _reals, _worst_first
 from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
 
 __all__ = [
@@ -86,23 +86,6 @@ def _json_numbers(values, field: str) -> list:
     if not set(map(type, _json_list(values, field))) <= {int, float}:
         _each(_json_number)(values, field)
     return values
-
-
-def _cost_matrix(costs) -> np.ndarray:
-    # A float copy of costs, which must be a K-by-n matrix of Python or numpy
-    # real numbers: not ragged, and no strings, None or bools, which numpy
-    # would coerce.
-    try:
-        raw = costs if isinstance(costs, np.ndarray) else np.array(costs, dtype=object)
-    except ValueError:  # nested sequences numpy cannot shape
-        raw = np.empty(0)
-    if raw.ndim != 2:
-        raise InstanceFormatError("costs: must be a K-by-n matrix")
-    if raw.dtype.kind not in "iuf":
-        for x in raw.flat:
-            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-                raise InstanceFormatError(f"costs: expected a number, got {x!r}")
-    return raw.astype(float)
 
 
 def _index_dtype(n: int) -> np.dtype:
@@ -329,13 +312,19 @@ class Explicit(ProblemKind):
     tag = "explicit"
 
     def __post_init__(self):
-        normalized = tuple(tuple(sorted(int(i) for i in s)) for s in self.solutions)
-        object.__setattr__(self, "solutions", normalized)
+        object.__setattr__(self, "solutions", tuple(map(_listed, self.solutions)))
+        # hashed once: brute force looks the kind up in its cache on every call
+        object.__setattr__(self, "_hash", hash(self.solutions))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def problems(self, n: int) -> list[str]:
         problems = [] if self.solutions else ["kind: explicit feasible set is empty"]
         for s, sol in enumerate(self.solutions):
-            if any(not 0 <= i < n for i in sol):
+            if not set(map(type, sol)) <= {int}:
+                problems.append(f"kind: explicit solution {s} has a non-integer element")
+            elif sol and (sol[0] < 0 or sol[-1] >= n):  # ascending
                 problems.append(f"kind: explicit solution {s} has out-of-range elements")
             if len(set(sol)) < len(sol):
                 problems.append(f"kind: explicit solution {s} repeats an element")
@@ -354,6 +343,7 @@ class Explicit(ProblemKind):
         return [np.array(run, dtype=_index_dtype(n)).reshape(len(run), len(run[0])) for run in runs]
 
     def solve(self, costs, fix):
+        fix = fix.read(len(costs))
         compatible = [s for s in self.solutions if fix.admits(s)]
         if not compatible:
             raise FeasibilityError("no explicit solution is compatible with the fixing")
@@ -384,6 +374,15 @@ class Explicit(ProblemKind):
         return cls(solutions=_each(_each(_json_int))(sols, "kind.explicit.solutions"))
 
 
+def _listed(solution) -> tuple:
+    # ascending, or as given if an element is not an integer (Explicit.problems names it)
+    solution = tuple(solution)
+    try:
+        return tuple(sorted(_indices(solution, "explicit solution indices")))
+    except ValueError:
+        return solution
+
+
 _KINDS = {kind.tag: kind for kind in (Selection, Assignment, Explicit)}
 
 
@@ -395,7 +394,7 @@ class ScenarioInstance:
     """
 
     def __init__(self, costs, p, v, kind: ProblemKind):
-        self.costs = costs = _cost_matrix(costs)
+        self.costs = costs = np.array(_reals(costs, "costs", 2, InstanceFormatError))  # a copy
         self.costs.flags.writeable = False
         self.K, self.n = costs.shape
         self.kind = kind
@@ -410,14 +409,14 @@ class ScenarioInstance:
             problems.append("costs: non-finite entries")
         vectors = []
         for name, make, values in (("p", ProbabilityVector, p), ("v", WeightVector, v)):
-            try:
-                vec, rule = (values if isinstance(values, make) else make(values)), []
-            except (TypeError, ValueError) as exc:  # the vector type's own rules
-                vec, rule = None, [f"{name}: {exc}"]
-            count = vec.k if vec is not None else np.asarray(values, dtype=object).size
-            if count != self.K:
-                problems.append(f"{name}: has {count} entries, expected K={self.K}")
-            problems += rule
+            vec = values if isinstance(values, make) else None
+            try:  # every error of the reader and the vector type names the vector
+                values = vec.values if vec else _reals(values, name, 1)
+                if len(values) != self.K:
+                    problems.append(f"{name}: has {len(values)} entries, expected K={self.K}")
+                vec = vec or make(values)
+            except ValueError as exc:
+                problems.append(str(exc))
             vectors.append(vec)
         self.p, self.v = vectors
         problems += kind.problems(self.n)
@@ -493,8 +492,8 @@ def remove_zero_scenarios(p, costs):
     weights are rank-indexed, so they must be chosen for the reduced
     scenario count.  Returns (p', costs') with the zero rows removed.
     """
-    p = np.asarray(p, dtype=float)
-    costs = np.asarray(costs, dtype=float)
+    p = _reals(p, "p", 1)
+    costs = _reals(costs, "costs", 2)
     if p.ndim != 1 or costs.ndim != 2 or costs.shape[0] != p.size:
         raise ValueError("need a K-vector p and a K-by-n cost matrix")
     if not np.all(np.isfinite(p)):

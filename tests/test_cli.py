@@ -171,15 +171,14 @@ class TestSolve:
         assert "costs" in res.stderr and "Traceback" not in res.stderr
 
 
-    def test_repeated_element_in_explicit_solution_is_usage_error(self, tmp_path, capsys):
+    def test_repeated_element_in_explicit_solution_is_usage_error(self, tmp_path, cli):
         bad = tmp_path / "repeated.json"
         doc = json.loads((GOLDEN / "paths_example.json").read_text())
         doc["kind"] = {"explicit": {"solutions": [[0, 0], [1, 1]]}}
         bad.write_text(json.dumps(doc))
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--in", str(bad), "--method", "brute"])
-        assert exc.value.code == 2
-        assert "kind: explicit solution 0 repeats an element" in capsys.readouterr().err
+        res = cli("solve", "--in", bad, "--method", "brute")
+        assert res.returncode == 2
+        assert "kind: explicit solution 0 repeats an element" in res.stderr
 
     @pytest.mark.parametrize("limit", ["nan", "-5", "0", "ten"])
     def test_bad_time_limit_is_usage_error(self, limit, capsys):

@@ -181,7 +181,8 @@ class TestConstructionErrors:
                              Selection(q=1))
         assert len(problems) == 1 and problems[0].startswith("p:")
 
-    @pytest.mark.parametrize("p", [0.5, ["a", "b"]], ids=["scalar", "strings"])
+    @pytest.mark.parametrize("p", [0.5, ["a", "b"], ["0.5", "0.5"]],
+                             ids=["scalar", "strings", "digit-strings"])
     def test_unparsable_probabilities_are_typed(self, p):
         problems = _problems([[1.0, 2.0], [3.0, 4.0]], p, [0.5, 0.5], Selection(q=1))
         assert [msg for msg in problems if not msg.startswith("p:")] == []
