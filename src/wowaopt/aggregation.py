@@ -106,13 +106,59 @@ def _check_k(k) -> None:
         raise ValueError(f"K must be positive, got {k!r}")
 
 
+def _check_alpha(alpha: float) -> float:
+    # the weight generator's parameter: a number in (0, 1); NaN is out of range
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    return alpha
+
+
 def _nonincreasing(arr: np.ndarray) -> bool:
     # one exact rule for WeightVector.is_nonincreasing and DistortionFunction.is_concave
     return bool(np.all(arr[:-1] >= arr[1:]))
 
 
+class _Simplex:
+    """What p and v share: values summing to one; each subclass adds its entry rule.
+
+    A plain class: each dataclass adds to the import time.
+    """
+
+    @staticmethod
+    def _sum_to_one(arr: np.ndarray, name: str, noun: str) -> np.ndarray:
+        total = float(arr.sum())
+        if abs(total - 1.0) > SUM_TOL:
+            raise ValueError(f"{name}: {noun} must sum to 1, got {total!r}")
+        if abs(total - 1.0) > 1e-12:  # skip a no-op divide so round-trips are exact
+            arr = arr / total
+        return arr
+
+    @property
+    def k(self) -> int:
+        return len(self.values)
+
+    def as_array(self) -> np.ndarray:
+        """The values as a float array: one read-only array, built on first call and shared."""
+        # kept in the instance dict, past a frozen dataclass's __setattr__, as cached_property does
+        arr = self.__dict__.get("_as_array")
+        if arr is None:
+            arr = self.__dict__["_as_array"] = np.array(self.values, dtype=float)
+            arr.flags.writeable = False
+        return arr
+
+    @classmethod
+    def uniform(cls, k: int):
+        _check_k(k)
+        return cls([1.0 / k] * k)
+
+    @classmethod
+    def _read(cls, values):
+        # a raw argument as this type; an instance of it passes as it is
+        return values if isinstance(values, cls) else cls(values)
+
+
 @dataclass(frozen=True, init=False)
-class WeightVector:
+class WeightVector(_Simplex):
     """Importance weights in [0, 1] summing to one, one per scenario rank.
 
     ``is_nonincreasing`` is True iff v_1 >= v_2 >= ... >= v_K; every
@@ -127,26 +173,9 @@ class WeightVector:
         arr = _vector(values, "v")
         if np.any(arr < -SUM_TOL) or np.any(arr > 1.0 + SUM_TOL):
             raise ValueError("v: weight components must lie in [0, 1]")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"v: weights must sum to 1, got {total!r}")
-        if abs(total - 1.0) > 1e-12:  # skip a no-op divide so round-trips are exact
-            arr = arr / total
-        arr = np.clip(arr, 0.0, 1.0)
+        arr = np.clip(self._sum_to_one(arr, "v", "weights"), 0.0, 1.0)
         object.__setattr__(self, "values", tuple(arr.tolist()))
         object.__setattr__(self, "is_nonincreasing", _nonincreasing(arr))
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-    @classmethod
-    def uniform(cls, k: int) -> "WeightVector":
-        _check_k(k)
-        return cls([1.0 / k] * k)
 
     @cached_property
     def distortion(self) -> "DistortionFunction":
@@ -172,7 +201,7 @@ class WeightVector:
 
 
 @dataclass(frozen=True, init=False)
-class ProbabilityVector:
+class ProbabilityVector(_Simplex):
     """Scenario probabilities, strictly positive and summing to one.
 
     Zero-probability scenarios are rejected here; drop them (see
@@ -185,31 +214,7 @@ class ProbabilityVector:
         arr = _vector(values, "p")
         if np.any(arr <= 0.0):
             raise ValueError("p: probabilities must be strictly positive")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"p: probabilities must sum to 1, got {total!r}")
-        if abs(total - 1.0) > 1e-12:  # skip a no-op divide so round-trips are exact
-            arr = arr / total
-        object.__setattr__(self, "values", tuple(arr.tolist()))
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-    @classmethod
-    def uniform(cls, k: int) -> "ProbabilityVector":
-        _check_k(k)
-        return cls([1.0 / k] * k)
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        # read-only: one array is shared by every evaluation
-        arr = self.as_array()
-        arr.flags.writeable = False
-        return arr
+        object.__setattr__(self, "values", tuple(self._sum_to_one(arr, "p", "probabilities").tolist()))
 
 
 @dataclass(frozen=True, init=False)
@@ -239,7 +244,7 @@ class DistortionFunction:
 
     @classmethod
     def from_weights(cls, v: WeightVector | Sequence[float]) -> "DistortionFunction":
-        return _coerce_v(v).distortion
+        return WeightVector._read(v).distortion
 
     @property
     def k(self) -> int:
@@ -270,14 +275,6 @@ class RankWeights:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.omegas, dtype=float)
-
-
-def _coerce_v(v) -> WeightVector:
-    return v if isinstance(v, WeightVector) else WeightVector(v)
-
-
-def _coerce_p(p) -> ProbabilityVector:
-    return p if isinstance(p, ProbabilityVector) else ProbabilityVector(p)
 
 
 def _cumulate(p: np.ndarray, order) -> np.ndarray:
@@ -312,14 +309,14 @@ def rank_weights(v, p, sigma) -> RankWeights:
     have to sort anything.  Cumulative probability sums are clamped to
     [0, 1] so float drift cannot leave the domain of w*.
     """
-    v = _coerce_v(v)
-    p = _coerce_p(p)
+    v = WeightVector._read(v)
+    p = ProbabilityVector._read(p)
     if v.k != p.k:
         raise ValueError(f"v has {v.k} components but p has {p.k}")
     sigma = tuple(_indices(tuple(sigma), "permutation entry", p.k))
     if sorted(sigma) != list(range(p.k)):
         raise ValueError(f"expected a permutation of 0..{p.k - 1}, got {sigma}")
-    omegas = _rank_omegas(v, _cumulate(p._array, list(sigma)))
+    omegas = _rank_omegas(v, _cumulate(p.as_array(), list(sigma)))
     return RankWeights(omegas=tuple(omegas.tolist()), permutation=sigma)
 
 
@@ -332,14 +329,14 @@ def wowa_batch(a_columns: np.ndarray, v, p) -> np.ndarray:
     ascending scenario index, which is safe because the result is tie-order
     independent.
     """
-    v = _coerce_v(v)
-    p = _coerce_p(p)
+    v = WeightVector._read(v)
+    p = ProbabilityVector._read(p)
     A = _reals(a_columns, "a_columns", 2)
     if A.shape[0] != v.k:
         raise ValueError(f"expected a {v.k}-row matrix, got shape {A.shape}")
     if v.k != p.k:
         raise ValueError(f"v has {v.k} components but p has {p.k}")
-    order, cum = _worst_first(A, p._array)
+    order, cum = _worst_first(A, p.as_array())
     sa = A[order, np.arange(A.shape[1])]
     terms = _rank_omegas(v, cum) * sa
     # Accumulate row by row so the float result is independent of the batch
@@ -359,7 +356,7 @@ def wowa(a, v, p) -> float:
 
 def owa(a, w) -> float:
     """Ordered weighted average: weights applied to a sorted nonincreasing."""
-    w = _coerce_v(w)
+    w = WeightVector._read(w)
     a = _vector(a, "a")
     if a.size != w.k:
         raise ValueError(f"a has {a.size} components but w has {w.k}")
@@ -392,8 +389,7 @@ def generate_weights(alpha: float, k: int) -> WeightVector:
     of the latter is returned.  So each weight is within about 1e-12 of exact.
     Each (float(alpha), K) vector is made once and shared: it is immutable.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     _check_k(k)  # before the cache, which would take True or 2.0 for 1 or 2
     return _generated_weights(float(alpha), int(k))
 

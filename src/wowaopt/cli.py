@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
 from pathlib import Path
 
 from .approx import approx_solve
@@ -26,7 +25,7 @@ from .experiments import (
     summaries_to_csv,
     summarize,
 )
-from .aggregation import NonIncreasingWeightsError
+from .aggregation import NonIncreasingWeightsError, _check_alpha
 from .mip import build_mip, export_lp
 from .model import (
     FeasibilityError,
@@ -55,6 +54,11 @@ def _checked(parse, check):
     return convert
 
 
+def _alpha(text: str):
+    # --alpha: the weight generator's parameter, or None for 'uniform'
+    return None if text == "uniform" else _check_alpha(float(text))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wowaopt",
@@ -69,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, help="side of the bipartite graph (assignment)")
     gen.add_argument("--q", type=int, help="selection size (default: 25%% of n, rounded half up)")
     gen.add_argument("-K", type=int, required=True, help="scenario count")
-    gen.add_argument("--alpha", required=True,
+    gen.add_argument("--alpha", type=_checked(str, _alpha), required=True,
                      help="weight generator parameter in (0,1), or 'uniform'")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True, help="output instance path")
@@ -123,24 +127,14 @@ def _fmt(x: float) -> str:
     return repr(round(float(x), 12))
 
 
-def _cmd_generate(args, parser) -> int:
+def _cmd_generate(args) -> int:
     flag, other = ("n", "m") if args.kind == "selection" else ("m", "n")
     if getattr(args, other) is not None:
-        parser.error(f"--kind {args.kind} does not take --{other}")
+        raise ValueError(f"--kind {args.kind} does not take --{other}")
     size = getattr(args, flag)
     if size is None:
-        parser.error(f"--kind {args.kind} requires --{flag}")
-    if args.alpha == "uniform":
-        alpha = None
-    else:
-        try:
-            alpha = float(args.alpha)
-        except ValueError:
-            parser.error(f"--alpha must be a float or 'uniform', got {args.alpha!r}")
-    try:
-        inst = gen_instance(args.kind, size, args.K, alpha, args.seed, q=args.q)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError(f"--kind {args.kind} requires --{flag}")
+    inst = gen_instance(args.kind, size, args.K, args.alpha, args.seed, q=args.q)
     _write_text(args.out, write_instance(inst))
     return 0
 
@@ -204,9 +198,8 @@ _ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    commands = {"generate": partial(_cmd_generate, parser=parser), "solve": _cmd_solve,
+    args = _build_parser().parse_args(argv)
+    commands = {"generate": _cmd_generate, "solve": _cmd_solve,
                 "eval": _cmd_eval, "export-mip": _cmd_export, "bench": _cmd_bench}
     try:
         return commands[args.command](args)

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import WeightVector, _check_k, _is_int, generate_weights
+from .aggregation import WeightVector, _check_alpha, _check_k, _is_int, generate_weights
 from .approx import approx_solve
 from .exact import brute_force, check_time_limit, exact_bb
 from .mip import build_mip, export_lp
@@ -190,18 +190,14 @@ class ExperimentConfig:
         for key, values in (("K", self.k_values), ("alpha", self.alphas)):
             if len(set(values)) != len(values):  # a repeated cell would run twice
                 raise ValueError(f"{key}: repeated value in {list(values)!r}")
-        for k in self.k_values:
-            if not _is_int(k):
-                raise ValueError(f"K: K must be an integer, got {k!r}")
-            if not k >= 1:
-                raise ValueError(f"K: K must be at least 1, got {k!r}")
-        for alpha in self.alphas:
-            if alpha is not None and not 0.0 < alpha < 1.0:  # NaN is out of range too
-                raise ValueError(f"alpha: alpha must be in (0, 1), null or \"uniform\", got {alpha!r}")
-        try:
-            check_time_limit(self.time_limit)
-        except ValueError as exc:
-            raise ValueError(f"time_limit: {exc}") from None
+        # each value by the library's own rule, the error prefixed with its key
+        checks = [("K", _check_k, k) for k in self.k_values]
+        checks += [("alpha", _check_alpha, alpha) for alpha in self.alphas if alpha is not None]
+        for key, check, value in checks + [("time_limit", check_time_limit, self.time_limit)]:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

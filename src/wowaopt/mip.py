@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import NonIncreasingWeightsError, _reals, _worst_first
+from .aggregation import NonIncreasingWeightsError, _is_int, _reals, _worst_first
 from .model import ProblemKind, ScenarioInstance, Solution, scenario_costs
 
 __all__ = [
@@ -86,6 +86,14 @@ def build_mip(inst: ScenarioInstance) -> MipModel:
                     obj_beta=obj_beta, obj_alpha=obj_alpha)
 
 
+def _shaped(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    # real-number input of exactly this shape, the error naming the argument
+    arr = _reals(values, name, len(shape))
+    if arr.shape != shape:
+        raise ValueError(f"{name}: must have shape {shape}, got {arr.shape}")
+    return arr
+
+
 def _num(x: float) -> str:
     # Shortest round-trip decimal; integers rendered without the trailing .0
     if x == int(x) and abs(x) < 1e15:
@@ -125,9 +133,9 @@ def export_lp(model: MipModel) -> str:
     n, K = model.n, model.K
     if n < 1:
         raise ValueError("cannot export a model with no elements")
-    costs = _reals(model.costs, "costs", 2)
-    if costs.shape != (K, n):
-        raise ValueError(f"costs must be {K} rows of n={n} entries")
+    costs = _shaped(model.costs, "costs", (K, n))
+    obj_beta = _shaped(model.obj_beta, "obj_beta", (K,))
+    obj_alpha = _shaped(model.obj_alpha, "obj_alpha", (K, K))
     xs = [f"x{k + 1}" for k in range(n)]
     obj = [f"b{j + 1}" for j in range(K)]
     obj += [f"a_{i + 1}_{j + 1}" for i in range(K) for j in range(K)]
@@ -137,7 +145,7 @@ def export_lp(model: MipModel) -> str:
     # costs, which continue the rows cost{i}_{j} after b_j + a_i_j) and the
     # kind's rows.
     texts = _signed_rows(
-        np.concatenate((model.obj_beta, np.ravel(model.obj_alpha), -costs.ravel(),
+        np.concatenate((obj_beta, obj_alpha.ravel(), -costs.ravel(),
                         [c for c, _ in terms]), dtype=float),
         np.array(obj + xs * K + [name for _, name in terms], dtype=object),
         [len(obj)] + [n] * K + [len(row) for _, row, _ in kind_rows],
@@ -180,8 +188,8 @@ def _tail_integrals(inst: ScenarioInstance, sol: Solution) -> np.ndarray:
 
 def compute_Lj(inst: ScenarioInstance, sol: Solution, j: int) -> float:
     """Integral of the nonincreasing cost rearrangement over [0, j/K], j in 1..K."""
-    if not 1 <= j <= inst.K:
-        raise ValueError(f"j must be in 1..{inst.K}, got {j}")
+    if not (_is_int(j) and 1 <= j <= inst.K):
+        raise ValueError(f"j: must be an integer in 1..{inst.K}, got {j!r}")
     return float(_tail_integrals(inst, sol)[j - 1])
 
 
@@ -192,5 +200,6 @@ def wowa_via_decomposition(inst: ScenarioInstance, sol: Solution) -> float:
 
 def objective_at(model: MipModel, beta, alpha) -> float:
     """Objective value at explicit (beta, alpha); x only enters constraints."""
-    total = float(np.dot(model.obj_beta, _reals(beta, "beta", 1)))
-    return total + float((model.obj_alpha * _reals(alpha, "alpha", 2)).sum())
+    beta = _shaped(beta, "beta", (model.K,))
+    alpha = _shaped(alpha, "alpha", (model.K, model.K))
+    return float(np.dot(model.obj_beta, beta)) + float((model.obj_alpha * alpha).sum())

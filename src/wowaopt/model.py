@@ -468,8 +468,8 @@ def scenario_costs(inst: ScenarioInstance, sol: Solution, check: bool = True) ->
 
 def scenario_cost(inst: ScenarioInstance, sol: Solution, j: int) -> float:
     """Cost of sol under scenario j (0-based)."""
-    if not 0 <= j < inst.K:
-        raise ValueError(f"scenario index {j} outside 0..{inst.K - 1}")
+    if not (_is_int(j) and 0 <= j < inst.K):
+        raise ValueError(f"j: must be an integer in 0..{inst.K - 1}, got {j!r}")
     return float(scenario_costs(inst, sol)[j])
 
 
@@ -481,7 +481,7 @@ def wowa_value(inst: ScenarioInstance, sol: Solution) -> float:
 
 def solution_rank_weights(inst: ScenarioInstance, sol: Solution):
     """Rank weights induced by sol: scenarios sorted by its costs, nonincreasing."""
-    order, cum = _worst_first(scenario_costs(inst, sol), inst.p._array)
+    order, cum = _worst_first(scenario_costs(inst, sol), inst.p.as_array())
     return RankWeights(tuple(_rank_omegas(inst.v, cum).tolist()), tuple(order.tolist()))
 
 

@@ -77,6 +77,16 @@ class TestVectorTypes:
     def test_uniform_accepts_numpy_integer_k(self, make):
         assert make.uniform(np.int64(4)) == make.uniform(4) == make([0.25] * 4)
 
+    @pytest.mark.parametrize("make, values", [(WeightVector, V4), (ProbabilityVector, P4)])
+    def test_one_shared_read_only_array_and_no_rebuild(self, make, values):
+        vec = make(values)
+        arr = vec.as_array()
+        assert vec.as_array() is arr and arr.tolist() == list(vec.values)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        assert make._read(vec) is vec
+        assert make._read(values) == vec
+
 
 class TestDistortion:
     def test_breakpoints_are_exact_cumulative_sums(self):

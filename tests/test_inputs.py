@@ -6,9 +6,12 @@ such as 1.0.  Each rejected input raises ValueError naming the argument once;
 numpy input is read to the same bits as the equivalent Python input.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import GOLDEN
 from wowaopt import (
     DistortionFunction,
     Explicit,
@@ -18,10 +21,17 @@ from wowaopt import (
     Selection,
     Solution,
     WeightVector,
+    build_mip,
+    compute_Lj,
+    export_lp,
     f_pi,
+    greedy_dual_point,
+    objective_at,
     owa,
     rank_weights,
+    read_instance,
     remove_zero_scenarios,
+    scenario_cost,
     solve_assignment,
     solve_selection,
     solve_with_costs,
@@ -38,7 +48,24 @@ def _instance(p, v, kind=Selection(q=1), costs=((1.0, 2.0, 3.0),)):
     return ScenarioInstance(np.array(costs), p, v, kind)
 
 
-# (entry, the text that names the argument in its error); each was coerced before
+def _paths():
+    # the worked example, K = 4, with its solution x1 = {0, 3}
+    return read_instance((GOLDEN / "paths_example.json").read_text()), Solution([0, 3])
+
+
+def _objective(**point):
+    # objective_at at greedy_dual_point's (beta, alpha), an entry replaced
+    inst, sol = _paths()
+    beta, alpha = greedy_dual_point(inst, sol)
+    return objective_at(build_mip(inst), **{"beta": beta, "alpha": alpha, **point})
+
+
+def _export(**fields):
+    return export_lp(dataclasses.replace(build_mip(_paths()[0]), **fields))
+
+
+# (entry, the text that names the argument in its error); each was coerced,
+# or failed with a bare numpy error, before
 _REJECTED = {
     "instance-string-p-v": (lambda: _instance(["1.0"], ["1"]), "p: expected a number"),
     "instance-bool-p-v": (lambda: _instance([True], [True]), "v: expected a number, got True"),
@@ -69,6 +96,23 @@ _REJECTED = {
                              "fixed element index not an integer"),
     "explicit-fixing-range": (lambda: solve_with_costs(_PATHS, _FIVE, PartialFixing((), {7})),
                               "outside 0..4"),
+    "objective-alpha-row": (lambda: _objective(alpha=np.ones((1, 4))),
+                            "alpha: must have shape (4, 4)"),
+    "objective-alpha-column": (lambda: _objective(alpha=np.ones((4, 1))),
+                               "alpha: must have shape (4, 4)"),
+    "objective-alpha-single": (lambda: _objective(alpha=[[1.0]]), "alpha: must have shape (4, 4)"),
+    "objective-beta-short": (lambda: _objective(beta=[1.0]), "beta: must have shape (4,)"),
+    "scenario-cost-bool": (lambda: scenario_cost(*_paths(), True), "j: must be an integer in 0..3"),
+    "scenario-cost-float": (lambda: scenario_cost(*_paths(), 2.0), "j: must be an integer in 0..3"),
+    "lj-bool": (lambda: compute_Lj(*_paths(), True), "j: must be an integer in 1..4"),
+    "lj-float": (lambda: compute_Lj(*_paths(), 1.0), "j: must be an integer in 1..4"),
+    "lj-fraction": (lambda: compute_Lj(*_paths(), 2.5), "j: must be an integer in 1..4"),
+    "export-beta-strings": (lambda: _export(obj_beta=("1", True)),
+                            "obj_beta: expected a number, got '1'"),
+    "export-beta-short": (lambda: _export(obj_beta=np.ones(3)), "obj_beta: must have shape (4,)"),
+    "export-beta-long": (lambda: _export(obj_beta=np.ones(5)), "obj_beta: must have shape (4,)"),
+    "export-alpha-wide": (lambda: _export(obj_alpha=np.ones((4, 5))),
+                          "obj_alpha: must have shape (4, 4)"),
 }
 
 
