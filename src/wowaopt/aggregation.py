@@ -60,7 +60,7 @@ def _reals(values, name: str, ndim: int, error: type = ValueError) -> np.ndarray
             arr = np.empty(0, dtype=object)
         if arr.ndim == ndim:
             for x in arr.flat:
-                if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                if not _is_real(x):
                     raise error(f"{name}: expected a number, got {x!r}")
             arr = arr.astype(float)
     if arr.ndim != ndim:
@@ -77,10 +77,26 @@ def _vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _is_real(x) -> bool:
+    # a real number: a Python or numpy int or float, not a bool
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _is_int(value) -> bool:
-    # a count such as K or a kind's size: a Python or numpy integer, not a
-    # bool and not a float such as 2.0
+    # an integer: a Python or numpy integer, not a bool and not a float such as 2.0
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """A count, size, seed or index as a Python int in low..high; every public entry reads through it.
+
+    Python and numpy integers pass; bools, floats such as 2.0 and anything
+    else raise ValueError naming the argument.  high needs low.
+    """
+    if _is_int(value) and (low is None or value >= low) and (high is None or value <= high):
+        return int(value)
+    bounds = "" if low is None else f" of at least {low}" if high is None else f" in {low}..{high}"
+    raise ValueError(f"{name}: must be an integer{bounds}, got {value!r}")
 
 
 def _indices(values, name: str, n: int | None = None):
@@ -98,18 +114,10 @@ def _indices(values, name: str, n: int | None = None):
     return read
 
 
-def _check_k(k) -> None:
-    # the scenario count of a generated vector: a positive integer
-    if not _is_int(k):
-        raise ValueError(f"K must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"K must be positive, got {k!r}")
-
-
 def _check_alpha(alpha: float) -> float:
     # the weight generator's parameter: a number in (0, 1); NaN is out of range
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha: must be a number in (0, 1), got {alpha!r}")
     return alpha
 
 
@@ -148,7 +156,7 @@ class _Simplex:
 
     @classmethod
     def uniform(cls, k: int):
-        _check_k(k)
+        k = _integer(k, "K", 1)
         return cls([1.0 / k] * k)
 
     @classmethod
@@ -389,9 +397,8 @@ def generate_weights(alpha: float, k: int) -> WeightVector:
     of the latter is returned.  So each weight is within about 1e-12 of exact.
     Each (float(alpha), K) vector is made once and shared: it is immutable.
     """
-    _check_alpha(alpha)
-    _check_k(k)  # before the cache, which would take True or 2.0 for 1 or 2
-    return _generated_weights(float(alpha), int(k))
+    # read before the cache, which would take True or 2.0 for 1 or 2
+    return _generated_weights(float(_check_alpha(alpha)), _integer(k, "K", 1))
 
 
 @lru_cache(maxsize=64)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregation import NonIncreasingWeightsError, _rank_omegas, _worst_first, wowa_batch
+from .aggregation import NonIncreasingWeightsError, _is_real, _rank_omegas, _worst_first, wowa_batch
 from .approx import approx_solve
 from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
 from .model import ScenarioInstance, _row_costs, scenario_costs
@@ -259,9 +259,8 @@ class _BBContext:
         W = np.array([node.w for node in running])
         fresh = [node.avg is None for node in running]
         AVG = np.array([np.zeros(inst.K) if f else node.avg for f, node in zip(fresh, running)])
-        # step sizes: a node continues its parent's count, one without an average starts at gamma = 1
-        GAMMA = 2.0 / (np.where(fresh, 0.0, steps)[:, None] + np.arange(steps) + 2.0)
-        STAY = 1.0 - GAMMA
+        # the steps each continues from: its parent's count, none without an average (gamma = 1)
+        DONE = np.where(fresh, 0.0, steps)[:, None]
         new: list[tuple[Solution, np.ndarray]] = []
         for step in range(steps):
             solves = first if step == 0 else [None] * len(running)
@@ -296,8 +295,9 @@ class _BBContext:
                 break
             if len(keep) < len(running):
                 running = [running[j] for j in keep]
-                W, AVG, GAMMA, STAY = W[keep], AVG[keep], GAMMA[keep], STAY[keep]
-            gamma, stay = GAMMA[:, step, None], STAY[:, step, None]
+                W, AVG, DONE = W[keep], AVG[keep], DONE[keep]
+            gamma = 2.0 / (DONE + step + 2.0)
+            stay = 1.0 - gamma
             AVG = stay * AVG + gamma * np.array(seen)
             order, cum = _worst_first(AVG.T, self.p)
             direction = np.empty_like(cum)
@@ -322,8 +322,8 @@ class _BBContext:
 
 
 def check_time_limit(time_limit: float) -> float:
-    """A branch-and-bound time limit: positive seconds, math.inf for none; not a bool."""
-    if isinstance(time_limit, bool) or not time_limit > 0:  # NaN fails the comparison too
+    """A branch-and-bound time limit: a positive number of seconds, math.inf for none; not a bool."""
+    if not (_is_real(time_limit) and time_limit > 0):  # NaN fails the comparison too
         raise ValueError(f"time limit must be positive seconds (inf for none), got {time_limit!r}")
     return time_limit
 
@@ -336,7 +336,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     batches of up to _BB_BATCH, and the time limit is checked before each
     batch: on hitting it the best incumbent is returned with proof_status
     "time_limit" and, as lower_bound, the least pushed bound of the open
-    nodes; a NaN or nonpositive limit raises ValueError.
+    nodes; a limit that is not a positive number raises ValueError.
     """
     check_time_limit(time_limit)
     if not inst.v.is_nonincreasing:
@@ -348,9 +348,8 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
     incumbent = approx_solve(inst)
     best_sol = incumbent.solution
     best_val = incumbent.wowa_objective
-
-    def margin() -> float:
-        return 1e-12 * max(1.0, abs(best_val))
+    # nodes whose bound reaches the cutoff, best less a relative margin, are pruned
+    cutoff = best_val - 1e-12 * max(1.0, abs(best_val))
 
     heap: list[tuple[float, int, _Node]] = []  # (pushed bound, counter, node)
     counter = itertools.count()
@@ -363,7 +362,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
         batch = []
         while heap and len(batch) < _BB_BATCH:
             pushed_bound, _, node = heapq.heappop(heap)
-            if pushed_bound < best_val - margin():
+            if pushed_bound < cutoff:
                 batch.append(node)
         if not batch:
             break
@@ -371,7 +370,7 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             status = "time_limit"
             break
         node_count += len(batch)
-        new = ctx.node_bounds(batch, best_val - margin())
+        new = ctx.node_bounds(batch, cutoff)
         # a completion met before has a value no less than the incumbent
         if new:
             sols, costs = zip(*new)
@@ -381,11 +380,12 @@ def exact_bb(inst: ScenarioInstance, time_limit: float = 3600.0) -> ExactResult:
             if values[s] < best_val:
                 best_val = float(values[s])
                 best_sol = sols[s]
+                cutoff = best_val - 1e-12 * max(1.0, abs(best_val))
         for node in batch:
-            if node.attained is None or node.bound >= best_val - margin():
+            if node.attained is None or node.bound >= cutoff:
                 continue  # no completion, or pruned
             sol, _, certificate, costs = node.attained
-            fix = inst.kind.reduced_fixing(costs, node.fix, sol, node.bound, best_val - margin(), certificate)
+            fix = inst.kind.reduced_fixing(costs, node.fix, sol, node.bound, cutoff, certificate)
             e = ctx.branch_element(fix, sol)
             if e is None:
                 continue  # fully decided; the bound solve already evaluated it

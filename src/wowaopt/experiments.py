@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import WeightVector, _check_alpha, _check_k, _is_int, generate_weights
+from .aggregation import WeightVector, _check_alpha, _integer, generate_weights
 from .approx import approx_solve
 from .exact import brute_force, check_time_limit, exact_bb
 from .mip import build_mip, export_lp
@@ -64,7 +64,7 @@ class SplitMix64:
     """Fixed 64-bit generator; see the module docstring for the contract."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = _integer(seed, "seed") & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -114,8 +114,8 @@ def _alpha_token(alpha: Optional[float]) -> str:
 
 def instance_seed(seed: int, kind: str, size: int, k: int, alpha: Optional[float], index: int) -> int:
     """Derived stream seed for one benchmark instance."""
-    key = f"{kind}:{size}:{k}:{_alpha_token(alpha)}:{index}".encode("utf-8")
-    return (seed ^ _fnv1a64(key)) & _MASK64
+    key = f"{kind}:{size}:{k}:{_alpha_token(alpha)}:{_integer(index, 'index', 0)}".encode("utf-8")
+    return (_integer(seed, "seed") ^ _fnv1a64(key)) & _MASK64
 
 
 def default_q(n: int) -> int:
@@ -137,10 +137,8 @@ def gen_instance(
     (size = m, n = m*m elements).  ``alpha`` parameterizes the weight
     generator; None means uniform importance weights.
     """
-    if not _is_int(size):
-        raise ValueError(f"size must be an integer, got {size!r}")
-    _check_k(k)
-    size, k = int(size), int(k)  # numpy integers overflow in the generator's arithmetic
+    # as Python ints: numpy integers overflow in the generator's arithmetic
+    size, k, seed = _integer(size, "size", 1), _integer(k, "K", 1), _integer(seed, "seed")
     if kind == "selection":
         n = size
         problem = Selection(q=q if q is not None else default_q(n))
@@ -182,22 +180,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown exact method {self.method!r}")
         if self.lp_dir is not None and self.method != "lp-only":
             raise ValueError(f"lp_dir: only method lp-only writes LP files, got {self.method!r}")
-        for key, value in (("size", self.size), ("instances", self.instances), ("seed", self.seed)):
-            if not _is_int(value):
-                raise ValueError(f"{key}: must be an integer, got {value!r}")
-        if self.instances < 1 or self.size < 1:
-            raise ValueError("instances and size must be positive")
         for key, values in (("K", self.k_values), ("alpha", self.alphas)):
             if len(set(values)) != len(values):  # a repeated cell would run twice
                 raise ValueError(f"{key}: repeated value in {list(values)!r}")
-        # each value by the library's own rule, the error prefixed with its key
-        checks = [("K", _check_k, k) for k in self.k_values]
-        checks += [("alpha", _check_alpha, alpha) for alpha in self.alphas if alpha is not None]
-        for key, check, value in checks + [("time_limit", check_time_limit, self.time_limit)]:
-            try:
-                check(value)
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
+        # each value by the library's own rule, kept as Python ints as gen_instance keeps them
+        for key, low in (("size", 1), ("instances", 1), ("seed", None)):
+            object.__setattr__(self, key, _integer(getattr(self, key), key, low))
+        object.__setattr__(self, "k_values", tuple(_integer(k, "K", 1) for k in self.k_values))
+        for alpha in self.alphas:
+            if alpha is not None:
+                _check_alpha(alpha)
+        try:
+            check_time_limit(self.time_limit)
+        except ValueError as exc:
+            raise ValueError(f"time_limit: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -349,9 +345,7 @@ def _run_one(cfg: ExperimentConfig, k: int, alpha: Optional[float], index: int) 
 
 def check_jobs(jobs: int) -> int:
     """A benchmark worker count: a positive integer, not a bool."""
-    if not _is_int(jobs) or jobs < 1:
-        raise ValueError(f"jobs must be a positive worker count, got {jobs!r}")
-    return jobs
+    return _integer(jobs, "jobs", 1)
 
 
 def run_benchmark(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import NonIncreasingWeightsError, _is_int, _reals, _worst_first
+from .aggregation import NonIncreasingWeightsError, _integer, _reals, _worst_first
 from .model import ProblemKind, ScenarioInstance, Solution, scenario_costs
 
 __all__ = [
@@ -188,8 +188,7 @@ def _tail_integrals(inst: ScenarioInstance, sol: Solution) -> np.ndarray:
 
 def compute_Lj(inst: ScenarioInstance, sol: Solution, j: int) -> float:
     """Integral of the nonincreasing cost rearrangement over [0, j/K], j in 1..K."""
-    if not (_is_int(j) and 1 <= j <= inst.K):
-        raise ValueError(f"j: must be an integer in 1..{inst.K}, got {j!r}")
+    j = _integer(j, "j", 1, inst.K)
     return float(_tail_integrals(inst, sol)[j - 1])
 
 

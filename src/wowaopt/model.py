@@ -19,7 +19,7 @@ import numpy as np
 
 from . import base_solvers
 from .aggregation import ProbabilityVector, RankWeights, WeightVector, wowa_batch
-from .aggregation import _indices, _is_int, _rank_omegas, _reals, _worst_first
+from .aggregation import _indices, _integer, _is_int, _rank_omegas, _reals, _worst_first
 from .base_solvers import FeasibilityError, PartialFixing, ProblemKind, Solution
 
 __all__ = [
@@ -468,8 +468,7 @@ def scenario_costs(inst: ScenarioInstance, sol: Solution, check: bool = True) ->
 
 def scenario_cost(inst: ScenarioInstance, sol: Solution, j: int) -> float:
     """Cost of sol under scenario j (0-based)."""
-    if not (_is_int(j) and 0 <= j < inst.K):
-        raise ValueError(f"j: must be an integer in 0..{inst.K - 1}, got {j!r}")
+    j = _integer(j, "j", 0, inst.K - 1)
     return float(scenario_costs(inst, sol)[j])
 
 
@@ -494,15 +493,15 @@ def remove_zero_scenarios(p, costs):
     """
     p = _reals(p, "p", 1)
     costs = _reals(costs, "costs", 2)
-    if p.ndim != 1 or costs.ndim != 2 or costs.shape[0] != p.size:
-        raise ValueError("need a K-vector p and a K-by-n cost matrix")
+    if costs.shape[0] != p.size:
+        raise ValueError(f"costs: has {costs.shape[0]} rows, expected one per entry of p ({p.size})")
     if not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite")
+        raise ValueError("p: probabilities must be finite")
     if np.any(p < 0.0):
-        raise ValueError("probabilities must be nonnegative")
+        raise ValueError("p: probabilities must be nonnegative")
     keep = p > 0.0
     if not np.any(keep):
-        raise ValueError("all scenarios have zero probability")
+        raise ValueError("p: all scenarios have zero probability")
     p = p[keep]
     return p / p.sum(), costs[keep]
 

@@ -63,15 +63,17 @@ class TestVectorTypes:
             ProbabilityVector([0.5, 0.4])
 
     @pytest.mark.parametrize("make", [WeightVector, ProbabilityVector])
-    @pytest.mark.parametrize("k, message", [
-        (2.5, "^K must be an integer"),
-        (True, "^K must be an integer"),
-        (2.0, "^K must be an integer"),
-        (0, "^K must be positive"),
-    ])
-    def test_uniform_needs_a_positive_integer_k(self, make, k, message):
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize("k", [2.5, True, 2.0, 0])
+    def test_uniform_needs_a_positive_integer_k(self, make, k):
+        with pytest.raises(ValueError, match=rf"^K: must be an integer of at least 1, got {k!r}$"):
             make.uniform(k)
+
+    @pytest.mark.parametrize("make, values, read", [
+        (ProbabilityVector, [0.5, 0.5 + 5e-10], (0.49999999975, 0.50000000025)),  # divided by the sum
+        (WeightVector, [0.5, 0.5 + 5e-13], (0.5, 0.5 + 5e-13)),  # within 1e-12: kept as given
+    ], ids=["divided", "kept"])
+    def test_values_within_the_tolerance_read_to_their_float_sum(self, make, values, read):
+        assert make(values).values == read
 
     @pytest.mark.parametrize("make", [WeightVector, ProbabilityVector])
     def test_uniform_accepts_numpy_integer_k(self, make):
@@ -400,7 +402,7 @@ class TestGenerateWeights:
 
     @pytest.mark.parametrize("k", [2.5, True, 2.0])
     def test_k_must_be_an_integer(self, k):
-        with pytest.raises(ValueError, match="^K must be an integer"):
+        with pytest.raises(ValueError, match=rf"^K: must be an integer of at least 1, got {k!r}$"):
             generate_weights(0.5, k)
 
     def test_numpy_integer_k_accepted(self):

@@ -601,6 +601,22 @@ class TestBranchAndBound:
         res = exact_bb(paths_instance)
         assert res.objective == pytest.approx(6.0, abs=TOL)
 
+    def test_explicit_kind_matches_brute_force_past_the_root(self):
+        # below the root an explicit kind's fixings leave some rows without a
+        # completion, through the default solve_rows and reduced_fixing hooks
+        rng = np.random.RandomState(5)
+        branched = 0
+        for i in range(200):
+            n, k = rng.randint(4, 10), rng.randint(2, 6)
+            numer = rng.randint(1, 101, size=k)
+            inst = ScenarioInstance(rng.randint(0, 101, size=(k, n)).astype(float), numer / numer.sum(),
+                                    generate_weights(1e-2, k),
+                                    Explicit(_explicit_solutions(rng, n, rng.randint(1, 30), 0)))
+            res = exact_bb(inst)
+            assert res.objective.hex() == brute_force(inst).objective.hex(), i
+            branched += res.node_count > 1
+        assert branched >= 50
+
     def test_node_bound_below_subtree_minimum(self):
         # validity of the relaxation: bound(fix) <= min WOWA over completions
         rng = np.random.RandomState(10)

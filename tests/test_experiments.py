@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -184,7 +185,7 @@ class TestGenInstance:
         (5, 2.0, "K"), (5, 2.5, "K"), (5, True, "K"), (5.0, 2, "size"), (True, 2, "size"),
     ])
     def test_size_and_k_must_be_integers(self, size, k, named):
-        with pytest.raises(ValueError, match=f"^{named} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{named}: must be an integer of at least 1, got"):
             gen_instance("selection", size, k, 0.5, 1)
 
     @pytest.mark.parametrize("kind", ["selection", "assignment"])
@@ -208,6 +209,7 @@ class TestExperimentConfig:
         ("alphas", (0.0,), "alpha:"),
         ("alphas", (1.0,), "alpha:"),
         ("alphas", (float("nan"),), "alpha:"),
+        ("alphas", (True,), r"^alpha: must be a number in \(0, 1\), got True$"),  # named once
         ("alphas", (None, None), "alpha:"),
         ("time_limit", -1.0, "time_limit:"),
         ("time_limit", 0.0, "time_limit:"),
@@ -287,6 +289,14 @@ class TestRunBenchmark:
         parallel = run_benchmark(cfg, jobs=2)
         assert [r.exact_value for r in serial] == [r.exact_value for r in parallel]
         assert [r.approx_value for r in serial] == [r.approx_value for r in parallel]
+
+    def test_numpy_integer_seed_gives_the_records_of_its_int(self):
+        cfg = small_config(seed=np.int64(3), k_values=(np.int32(2),), size=np.int8(10))
+        assert (type(cfg.seed), type(cfg.size), type(cfg.k_values[0])) == (int, int, int)
+
+        def untimed(records):
+            return [dataclasses.replace(r, exact_ms=None, approx_ms=0.0) for r in records]
+        assert untimed(run_benchmark(cfg)) == untimed(run_benchmark(small_config(seed=3)))
 
     @pytest.mark.parametrize("jobs", [0, -3, True, 2.5, 2.0])  # True is not one worker, nor 2.0 two
     def test_nonpositive_jobs_rejected(self, jobs):

@@ -1,9 +1,10 @@
 """The input rules at the library's public entries.
 
 Real-number input is Python or numpy ints and floats, never bools, strings
-or None; element indices are Python or numpy integers, never bools or floats
-such as 1.0.  Each rejected input raises ValueError naming the argument once;
-numpy input is read to the same bits as the equivalent Python input.
+or None; element indices, counts, sizes, seeds and scenario indices are
+Python or numpy integers, never bools or floats such as 1.0.  Each rejected
+input raises ValueError naming the argument once; numpy input is read to the
+same bits as the equivalent Python input.
 """
 
 import dataclasses
@@ -20,12 +21,17 @@ from wowaopt import (
     ScenarioInstance,
     Selection,
     Solution,
+    SplitMix64,
     WeightVector,
     build_mip,
     compute_Lj,
+    exact_bb,
     export_lp,
     f_pi,
+    gen_instance,
+    generate_weights,
     greedy_dual_point,
+    instance_seed,
     objective_at,
     owa,
     rank_weights,
@@ -36,6 +42,7 @@ from wowaopt import (
     solve_selection,
     solve_with_costs,
     wowa,
+    write_instance,
     wstar_eval,
 )
 
@@ -113,6 +120,21 @@ _REJECTED = {
     "export-beta-long": (lambda: _export(obj_beta=np.ones(5)), "obj_beta: must have shape (4,)"),
     "export-alpha-wide": (lambda: _export(obj_alpha=np.ones((4, 5))),
                           "obj_alpha: must have shape (4, 4)"),
+    "generate-float-seed": (lambda: gen_instance("selection", 5, 2, 0.5, 1.5),
+                            "seed: must be an integer, got 1.5"),
+    "generate-bool-seed": (lambda: gen_instance("selection", 5, 2, 0.5, True),
+                           "seed: must be an integer, got True"),
+    "generate-string-alpha": (lambda: gen_instance("selection", 5, 2, "0.5", 1),
+                              "alpha: must be a number in (0, 1), got '0.5'"),
+    "derived-seed-bool": (lambda: instance_seed(True, "selection", 5, 2, 0.5, 0),
+                          "seed: must be an integer, got True"),
+    "derived-seed-index": (lambda: instance_seed(0, "selection", 5, 2, 0.5, -1),
+                           "index: must be an integer of at least 0, got -1"),
+    "splitmix-float-seed": (lambda: SplitMix64(2.5), "seed: must be an integer, got 2.5"),
+    "weights-string-alpha": (lambda: generate_weights("0.5", 3),
+                             "alpha: must be a number in (0, 1), got '0.5'"),
+    "bb-string-time-limit": (lambda: exact_bb(_paths()[0], time_limit="5"), "time limit must be positive"),
+    "bb-none-time-limit": (lambda: exact_bb(_paths()[0], time_limit=None), "time limit must be positive"),
 }
 
 
@@ -144,6 +166,10 @@ def test_numpy_input_is_read_to_the_same_bits():
          solve_with_costs(_PATHS, _FIVE.astype(int), PartialFixing({np.uint8(1)}, ()))),
         (Solution([1, 3]), Solution(np.array([3, 1]))),
         (Explicit([(0, 2)]), Explicit([np.array([2, 0], dtype=np.int8)])),
+        (write_instance(gen_instance("selection", 5, 2, 0.5, 7)),
+         write_instance(gen_instance("selection", np.int8(5), np.int64(2), np.float64(0.5), np.int64(7)))),
+        (instance_seed(7, "selection", 5, 2, 0.5, 1),
+         instance_seed(np.int64(7), "selection", 5, 2, 0.5, np.int32(1))),
     ]
     for python, numpy in pairs:  # repr round-trips every float to the bit
         assert repr(python) == repr(numpy)

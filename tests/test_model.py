@@ -146,6 +146,8 @@ class TestFeasibility:
         inst = ScenarioInstance([[1.0, 2.0, 3.0]], [1.0], [1.0], Selection(q=2))
         assert is_feasible(inst, Solution([0, 2]))
         assert not is_feasible(inst, Solution([0]))
+        with pytest.raises(FeasibilityError, match=r"^element indices outside 0\.\.2$"):
+            check_feasible(inst, Solution([0, 3]))
 
     def test_assignment_perfect_matching(self):
         inst = ScenarioInstance([[1.0] * 4], [1.0], [1.0], Assignment(m=2))
@@ -236,8 +238,11 @@ class TestConstructionErrors:
         ([[True]], "costs: expected a number, got True"),
         ([[1.0, False]], "costs: expected a number, got False"),
         (np.ones((1, 2), dtype=bool), "costs: expected a number, got "),
+        ([[1.0, np.nan]], "costs: non-finite entries"),
+        (np.ones((0, 2)), "K: need at least one scenario"),
+        (np.ones((1, 0)), "n: need at least one element"),
     ], ids=["ragged", "vector", "string", "letter", "digit-string", "none", "bool",
-            "bool-among-floats", "bool-array"])
+            "bool-among-floats", "bool-array", "non-finite", "no-scenario", "no-element"])
     def test_costs_must_be_a_matrix_of_numbers(self, costs, message):
         with pytest.raises(InstanceFormatError) as exc:
             ScenarioInstance(costs, [1.0], [1.0], Selection(q=1))
@@ -262,6 +267,14 @@ class TestRemoveZeroScenarios:
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             remove_zero_scenarios([0.0, 0.0], [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("p, costs, message", [
+        ([0.5, 0.5], [[1, 2]], r"^costs: has 1 rows, expected one per entry of p \(2\)$"),
+        ([1.5, -0.5], [[1, 2], [3, 4]], r"^p: probabilities must be nonnegative$"),
+    ], ids=["rows", "negative"])
+    def test_errors_name_the_argument(self, p, costs, message):
+        with pytest.raises(ValueError, match=message):
+            remove_zero_scenarios(p, costs)
 
     @pytest.mark.parametrize("p", [[0.5, float("nan"), 0.5], [float("inf"), 1.0],
                                    [1.0, float("-inf")]], ids=["nan", "inf", "minus-inf"])
@@ -298,6 +311,14 @@ class TestSerialization:
         text = write_instance(paths_instance).replace('"format": 1', '"format": 99')
         with pytest.raises(InstanceFormatError, match="format"):
             read_instance(text)
+
+    @pytest.mark.parametrize("kind, message", [
+        ({"selection": {"q": 1}, "assignment": {"m": 1}}, "^kind must be an object with exactly one of "),
+        ({"tree": {}}, "^unknown problem kind 'tree'$"),
+    ], ids=["two-tags", "unknown-tag"])
+    def test_kind_needs_exactly_one_known_tag(self, kind, message):
+        with pytest.raises(InstanceFormatError, match=message):
+            read_instance(json.dumps({**_SELECTION_DOC, "kind": kind}))
 
     def test_costs_shape_mismatch(self):
         text = (
